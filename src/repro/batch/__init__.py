@@ -31,8 +31,9 @@ The event engine remains the reference: the batch renderer reproduces
 the *slow* channel state (Gilbert sojourns, shadowing sequence, oven
 episodes, scenario parameters) sample-path exactly from the same
 :class:`~repro.sim.random.RandomRouter` streams, and matches fading /
-MAC / queueing behaviour statistically (the contract of
-``tests/test_channel_fast.py``, enforced per-population by
+MAC / queueing behaviour statistically (the contract
+``tests/test_channel_fast.py`` pins for one static link against
+:class:`~repro.channel.link.WifiLink`, enforced per population by
 :mod:`repro.batch.sanity`).
 """
 

@@ -9,8 +9,8 @@ and checks:
   scenario name, exactly (the substream-derivation contract);
 * **statistical equivalence** — per-link loss rate and mean delivered
   delay, pooled over the sample, must agree within the tolerances
-  ``tests/test_channel_fast.py`` grants the per-call fast renderer
-  (loss: ``|b - e| <= max(1.0 * e, 0.01)``; delay: relative 50% or
+  ``tests/test_channel_fast.py`` grants one static batch-rendered link
+  against :class:`~repro.channel.link.WifiLink` (loss: ``|b - e| <= max(1.0 * e, 0.01)``; delay: relative 50% or
   10 ms, whichever is looser — means over a multi-session sample are
   much tighter in practice).
 

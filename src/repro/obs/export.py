@@ -144,8 +144,8 @@ def record_trace_metrics(registry: MetricsRegistry, trace: object,
     worst-window and burst-distribution evidence is built from.  The
     same instruments are produced whether the trace came from the exact
     :class:`~repro.channel.link.WifiLink` path or the vectorized
-    :class:`~repro.channel.fast.FastLinkRenderer`, which is what the
-    renderer-parity test compares.
+    :mod:`repro.batch.render` backend, which is what the renderer-parity
+    test compares.
     """
     # Local imports: analysis is a consumer of obs elsewhere; keep the
     # module import graph acyclic at import time.

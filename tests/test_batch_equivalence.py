@@ -2,10 +2,11 @@
 
 The event engine is the reference.  These tests render populations with
 the batch backend and re-run sessions through
-:func:`repro.scenarios.generate_wild_run`, checking the tolerances of
-``tests/test_channel_fast.py`` — and exercise the sanitizer wiring both
-ways: a healthy block passes ``check_block_equivalence``, a corrupted
-one raises :class:`~repro.batch.sanity.BatchEquivalenceError`.
+:func:`repro.scenarios.generate_wild_run`, checking the loss tolerance
+``tests/test_channel_fast.py`` holds one static link to — and exercise
+the sanitizer wiring both ways: a healthy block passes
+``check_block_equivalence``, a corrupted one raises
+:class:`~repro.batch.sanity.BatchEquivalenceError`.
 """
 
 import dataclasses
@@ -22,7 +23,7 @@ from repro.batch.sanity import (
 from repro.scenarios import generate_wild_run
 from repro.sim.sanitize import SanitizerError
 
-#: test_channel_fast.py loss tolerance
+#: the single-link loss tolerance of test_channel_fast.py
 LOSS_REL, LOSS_ABS = 1.0, 0.01
 
 

@@ -1,4 +1,11 @@
-"""Statistical-equivalence tests for the vectorized fast renderer."""
+"""Statistical-equivalence tests for the vectorized channel renderer.
+
+:func:`repro.batch.render.render_session` renders a static client's
+links as whole-call numpy arrays.  These tests hold one such link to
+the exact event-driven :class:`~repro.channel.link.WifiLink` within the
+tolerances :mod:`repro.batch.sanity` enforces per population, and pin
+the AR(1) fading contract of :func:`repro.batch.render.ar1_complex`.
+"""
 
 import time
 
@@ -6,11 +13,14 @@ import numpy as np
 import pytest
 
 from repro.analysis.bursts import burst_stats
-from repro.channel.fast import FastLinkRenderer, _ar1_complex
+from repro.batch.population import PopulationSpec, SessionSetup
+from repro.batch.render import ar1_complex, render_block, render_session
 from repro.channel.gilbert import GilbertParams
 from repro.channel.link import LinkConfig, WifiLink
 from repro.channel.mobility import Position, StaticPosition
 from repro.core.config import StreamProfile
+from repro.core.packet import LinkTrace
+from repro.scenarios import ScenarioSetup
 from repro.sim import RandomRouter
 
 PROFILE = StreamProfile(duration_s=60.0)
@@ -33,64 +43,43 @@ def exact_trace(config, seed):
     return link.generate_trace(PROFILE)
 
 
-def fast_trace(config, seed):
-    return FastLinkRenderer(config, POSITION).render(
-        PROFILE, RandomRouter(seed))
+def fast_trace(config, seed, position=POSITION):
+    """Link A of a vectorized session whose second link is far away."""
+    setup = ScenarioSetup(
+        name="fastcheck", config_a=config,
+        config_b=link_config(name="fastcheck-b",
+                             ap_position=Position(40.0, 20.0)),
+        mobility=StaticPosition(position))
+    links, _ = render_session(
+        SessionSetup(index=0, scenario=setup.name, setup=setup,
+                     router=RandomRouter(seed)), PROFILE)
+    send_times = np.arange(PROFILE.n_packets) \
+        * PROFILE.inter_packet_spacing_s
+    return LinkTrace(config.name, send_times, links[0].delivered,
+                     links[0].delays)
 
 
 # ------------------------------------------------------------------- AR(1)
 
 def test_ar1_unit_power():
     rng = np.random.default_rng(0)
-    x = _ar1_complex(50_000, rho=0.9, rng=rng)
+    x = ar1_complex(50_000, rho=0.9, rng=rng)
     assert np.mean(np.abs(x) ** 2) == pytest.approx(1.0, rel=0.1)
 
 
 def test_ar1_correlation():
     rng = np.random.default_rng(1)
     rho = 0.8
-    x = _ar1_complex(100_000, rho=rho, rng=rng)
+    x = ar1_complex(100_000, rho=rho, rng=rng)
     measured = np.real(np.mean(x[1:] * np.conj(x[:-1])))
     assert measured == pytest.approx(rho, abs=0.05)
 
 
 def test_ar1_rho_zero_is_iid():
     rng = np.random.default_rng(2)
-    x = _ar1_complex(50_000, rho=0.0, rng=rng)
+    x = ar1_complex(50_000, rho=0.0, rng=rng)
     measured = np.real(np.mean(x[1:] * np.conj(x[:-1])))
     assert abs(measured) < 0.02
-
-
-def _ar1_without_scipy(monkeypatch, n, rho, seed):
-    """Evaluate _ar1_complex with scipy imports forced to fail."""
-    import sys
-    monkeypatch.setitem(sys.modules, "scipy", None)
-    monkeypatch.setitem(sys.modules, "scipy.signal", None)
-    return _ar1_complex(n, rho=rho, rng=np.random.default_rng(seed))
-
-
-def test_ar1_scipy_free_fallback_matches_lfilter(monkeypatch):
-    """The loop fallback must reproduce the lfilter path exactly (same
-    stream, same draws) so a scipy-free install renders identical
-    channels — the numpy-only guarantee the module docstring promises."""
-    pytest.importorskip("scipy.signal")
-    for rho, seed in ((0.9, 4), (0.5, 5), (0.999, 6)):
-        with_scipy = _ar1_complex(4_000, rho=rho,
-                                  rng=np.random.default_rng(seed))
-        with monkeypatch.context() as patch:
-            fallback = _ar1_without_scipy(patch, 4_000, rho, seed)
-        np.testing.assert_allclose(fallback, with_scipy,
-                                   rtol=1e-9, atol=1e-12)
-
-
-def test_ar1_fallback_statistics(monkeypatch):
-    """The fallback path holds the AR(1) contract on its own: unit
-    power and lag-1 correlation rho."""
-    rho = 0.8
-    x = _ar1_without_scipy(monkeypatch, 100_000, rho, 7)
-    assert np.mean(np.abs(x) ** 2) == pytest.approx(1.0, rel=0.1)
-    measured = np.real(np.mean(x[1:] * np.conj(x[:-1])))
-    assert measured == pytest.approx(rho, abs=0.05)
 
 
 # --------------------------------------------------------- equivalence
@@ -128,8 +117,7 @@ def test_fast_clean_channel_near_lossless():
         gilbert=GilbertParams(mean_good_s=1e9, mean_bad_s=0.01,
                               loss_good=0.0, loss_bad=0.0),
         pathloss=PathLossParams(shadowing_sigma_db=0.0))
-    trace = FastLinkRenderer(config, Position(2.0, 0.0)).render(
-        PROFILE, RandomRouter(3))
+    trace = fast_trace(config, 3, position=Position(2.0, 0.0))
     assert trace.loss_rate < 0.005
     assert np.nanmin(trace.delays) >= config.base_delay_s
 
@@ -143,12 +131,10 @@ def test_fast_deterministic():
 
 
 def test_fast_far_link_lossier():
-    near = FastLinkRenderer(link_config(), Position(3.0, 0.0)).render(
-        PROFILE, RandomRouter(8))
+    near = fast_trace(link_config(), 8, position=Position(3.0, 0.0))
     from repro.channel.pathloss import PathLossParams
     far_config = link_config(pathloss=PathLossParams(exponent=3.9))
-    far = FastLinkRenderer(far_config, Position(55.0, 0.0)).render(
-        PROFILE, RandomRouter(8))
+    far = fast_trace(far_config, 8, position=Position(55.0, 0.0))
     assert far.loss_rate >= near.loss_rate
 
 
@@ -180,13 +166,19 @@ def trace_metrics(trace_fn, config, seeds):
     return registry
 
 
+def block_trace(config, position):
+    """Link A of one session of a rendered batch block."""
+    block = render_block(PopulationSpec(n_sessions=2, duration_s=10.0))
+    return block.paired_run(position).trace_a
+
+
 def test_fast_and_exact_emit_identical_instrument_schema():
     """Both render paths must feed the *same* observability surface:
     identical metric names, labels, kinds and histogram bounds, so
     dashboards and digests never care which renderer produced a trace."""
     config = link_config()
     exact = trace_metrics(exact_trace, config, range(2))
-    fast = trace_metrics(fast_trace, config, range(2))
+    fast = trace_metrics(block_trace, config, range(2))
     schema = lambda reg: [
         (name, labels, metric.kind, getattr(metric, "bounds", None))
         for name, labels, metric in reg.items()]

@@ -1,6 +1,7 @@
 """Tests for the voice-quality pipeline: codec, playout, concealment,
 E-model, and PCR."""
 
+import itertools
 import math
 
 import numpy as np
@@ -174,6 +175,44 @@ def test_mos_range_and_monotone():
     values = [r_to_mos(r) for r in (0, 20, 50, 70, 90, 100)]
     assert values[0] == 1.0 and values[-1] == 4.5
     assert all(a <= b for a, b in zip(values, values[1:]))
+
+
+#: (loss, one-way delay s, mean burst length) on both sides of every
+#: branch: the 100 ms and 177.3 ms delay knees, the 0.99 loss cap and
+#: the mean_burst_len <= 0 early-out
+EMODEL_GRID = np.array(list(itertools.product(
+    (0.0, 0.5, 0.99, 1.0),
+    (0.0, 0.0999, 0.100, 0.1773, 0.400),
+    (0.0, 1.0, 3.0)))).T
+#: R on both sides of the MOS cubic's clamps
+R_GRID = np.array([-5.0, 0.0, 1e-9, 50.0, 99.99, 100.0, 120.0])
+
+
+@pytest.mark.parametrize("fn, columns", [
+    (delay_impairment, (EMODEL_GRID[1],)),
+    (loss_impairment, (EMODEL_GRID[0], EMODEL_GRID[2])),
+    (burst_ratio, (EMODEL_GRID[0], EMODEL_GRID[2])),
+    (emodel_r_factor, tuple(EMODEL_GRID)),
+    (r_to_mos, (R_GRID,)),
+    (r_to_mos, (emodel_r_factor(*EMODEL_GRID),)),
+], ids=["delay_impairment", "loss_impairment", "burst_ratio",
+        "emodel_r_factor", "r_to_mos", "r_to_mos_of_emodel"])
+def test_emodel_array_call_equals_scalar_calls(fn, columns):
+    """One array call is the list of scalar calls, bit for bit, and a
+    scalar call returns a Python float."""
+    vectorized = fn(*columns)
+    scalars = [fn(*(float(column[i]) for column in columns))
+               for i in range(len(columns[0]))]
+    assert isinstance(vectorized, np.ndarray)
+    assert all(type(value) is float for value in scalars)
+    assert vectorized.tobytes() == np.array(scalars).tobytes()
+
+
+def test_emodel_scalar_inputs_return_float():
+    assert type(r_to_mos(50)) is float
+    assert type(r_to_mos(np.float64(-1.0))) is float
+    assert type(emodel_r_factor(0, 0, 0)) is float
+    assert type(delay_impairment(np.float64(0.2))) is float
 
 
 # --------------------------------------------------------------------- PCR
