@@ -43,7 +43,8 @@ typecheck:
 # heap-order assertions, stream-ownership checks, determinism digests.
 sanitize-test:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_sim_engine.py \
-		tests/test_sim_random.py tests/test_client_controller.py -q
+		tests/test_sim_random.py tests/test_client_controller.py \
+		tests/test_traffic.py -q
 
 test-output:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

@@ -112,12 +112,17 @@ class WifiLink:
         # answered with the current channel state (the skew is < a few ms,
         # far below every process's coherence timescale).
         self._query_clock = 0.0
+        # The slow SNR is a function of (client position, shadowing)
+        # alone; a static client repeats one key on every MAC attempt.
+        self._snr_key: Optional[Tuple[Position, float]] = None
+        self._snr_db = 0.0
         # Rate adaptation off the initial average SNR; re-run periodically.
         self._mcs = select_mcs(self.mean_snr_db(0.0), config.phy)
         self._last_rate_update = 0.0
 
     def _clock(self, time: float) -> float:
-        self._query_clock = max(self._query_clock, time)
+        if time > self._query_clock:
+            self._query_clock = time
         return self._query_clock
 
     # ------------------------------------------------------------------
@@ -136,7 +141,13 @@ class WifiLink:
     def mean_snr_db(self, time: float) -> float:
         """Slow (RSSI-derived) SNR, before fading and interference."""
         self._maybe_update_shadowing(time)
-        return self._pathloss.snr_db(self.distance_m(time))
+        position = self._mobility.position_at(self._clock(time))
+        key = (position, self._pathloss.shadowing_db)
+        if key != self._snr_key:
+            self._snr_key = key
+            self._snr_db = self._pathloss.snr_db(
+                position.distance_to(self.config.ap_position))
+        return self._snr_db
 
     @property
     def mcs(self) -> Mcs:

@@ -11,13 +11,17 @@ never be scheduled in the past.
 
 With ``REPRO_SANITIZE=1`` in the environment the engine additionally
 asserts heap order on every pop and maintains a determinism digest of the
-executed event sequence (see :mod:`repro.sim.sanitize`).
+executed event sequence (see :mod:`repro.sim.sanitize`).  The digest
+changes whenever a change adds or removes events, even if every output
+stays the same; the behaviour gate for a refactor is the payload content
+digest (``perfbench/reference.json``, ``tests/test_event_golden.py``).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.sim.sanitize import (
@@ -31,30 +35,43 @@ class SimulationError(RuntimeError):
     """Raised for engine misuse (scheduling in the past, running twice...)."""
 
 
-class Event:
-    """A handle for a scheduled callback.
+class Event(list):
+    """A handle for a scheduled callback, and its own heap entry.
 
     Returned by :meth:`Simulator.call_at` / :meth:`Simulator.call_in`; the
     holder may :meth:`cancel` it before it fires.  Cancellation is O(1): the
     event is flagged and skipped when popped.
+
+    The event is the list ``[time, seq, callback, args]``, so ``heapq``
+    orders the queue with C list comparison.  ``seq`` is unique per
+    simulator, so two entries always differ by ``(time, seq)`` and the
+    callback is never compared.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled")
+    __slots__ = ("cancelled",)
 
     def __init__(self, time: float, seq: int,
                  callback: Callable[..., Any], args: Tuple[Any, ...]):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.args = args
+        list.__init__(self, (time, seq, callback, args))
         self.cancelled = False
+
+    @property
+    def time(self) -> float:
+        """Scheduled simulated time in seconds."""
+        return self[0]
+
+    @time.setter
+    def time(self, value: float) -> None:
+        self[0] = value
+
+    @property
+    def seq(self) -> int:
+        """Scheduling order: the FIFO tie-break among equal times."""
+        return self[1]
 
     def cancel(self) -> None:
         """Prevent the event from firing.  Idempotent."""
         self.cancelled = True
-
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
@@ -112,10 +129,13 @@ class Simulator:
         if time < self._now - 1e-12:
             raise SimulationError(
                 f"cannot schedule event at t={time:.9f} < now={self._now:.9f}")
-        event = Event(max(time, self._now), next(self._seq), callback, args)
-        heapq.heappush(self._queue, event)
-        if len(self._queue) > self.peak_queue_depth:
-            self.peak_queue_depth = len(self._queue)
+        if time < self._now:
+            time = self._now
+        event = Event(time, next(self._seq), callback, args)
+        queue = self._queue
+        heapq.heappush(queue, event)
+        if len(queue) > self.peak_queue_depth:
+            self.peak_queue_depth = len(queue)
         return event
 
     def call_in(self, delay: float, callback: Callable[..., Any],
@@ -131,29 +151,35 @@ class Simulator:
 
     def peek(self) -> Optional[float]:
         """Time of the next pending (non-cancelled) event, or ``None``."""
-        while self._queue and self._queue[0].cancelled:
-            heapq.heappop(self._queue)
-        return self._queue[0].time if self._queue else None
+        queue = self._queue
+        while queue and queue[0].cancelled:
+            heapq.heappop(queue)
+        return queue[0][0] if queue else None
 
     def step(self) -> bool:
         """Execute the single next event.  Returns False if queue is empty."""
-        while self._queue:
-            event = heapq.heappop(self._queue)
+        queue = self._queue
+        while queue:
+            event = heapq.heappop(queue)
             if event.cancelled:
                 continue
+            time, seq, callback, args = event
             if self._digest is not None:
-                if event.time < self._now - 1e-12:
-                    raise HeapOrderError(
-                        f"event queue yielded t={event.time:.9f} after the "
-                        f"clock reached t={self._now:.9f}; an Event.time "
-                        "was mutated after scheduling or the heap was "
-                        "corrupted")
-                self._digest.update(event.time, event.seq, event.callback)
-            self._now = event.time
-            event.callback(*event.args)
+                self._check_order(time)
+                self._digest.update(time, seq, callback)
+            self._now = time
+            callback(*args)
             self.events_executed += 1
             return True
         return False
+
+    def _check_order(self, time: float) -> None:
+        if time < self._now - 1e-12:
+            raise HeapOrderError(
+                f"event queue yielded t={time:.9f} after the "
+                f"clock reached t={self._now:.9f}; an Event.time "
+                "was mutated after scheduling or the heap was "
+                "corrupted")
 
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or the clock passes ``until``.
@@ -166,16 +192,31 @@ class Simulator:
             raise SimulationError("simulator is already running")
         self._running = True
         self._stopped = False
+        queue = self._queue
+        digest = self._digest
+        heappop = heapq.heappop
+        horizon = math.inf if until is None else until
         try:
-            while not self._stopped:
-                next_time = self.peek()
-                if next_time is None:
+            # One loop over the queue head: cancelled entries are dropped
+            # (also past the horizon, as peek() does), live ones unpacked
+            # and dispatched.
+            while queue and not self._stopped:
+                event = queue[0]
+                if event.cancelled:
+                    heappop(queue)
+                    continue
+                time, seq, callback, args = event
+                if time > horizon:
+                    self._now = horizon
                     break
-                if until is not None and next_time > until:
-                    self._now = until
-                    break
-                self.step()
-            if until is not None and self._now < until and not self._queue:
+                heappop(queue)
+                if digest is not None:
+                    self._check_order(time)
+                    digest.update(time, seq, callback)
+                self._now = time
+                callback(*args)
+                self.events_executed += 1
+            if until is not None and self._now < until and not queue:
                 self._now = until
         finally:
             self._running = False

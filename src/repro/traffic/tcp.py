@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -81,7 +82,10 @@ class TcpReno:
         self._serving = False
         self._end_time = 0.0
         self._last_ack_time = 0.0
-        self._rto_event = None
+        #: when the retransmission timer expires; None when disarmed
+        self._rto_deadline: Optional[float] = None
+        #: whether a timer event is in the simulator's queue
+        self._rto_timer_live = False
         self._started = False
         self._in_recovery_until = -1
 
@@ -197,15 +201,33 @@ class TcpReno:
         self._pump()
 
     def _arm_rto(self) -> None:
-        if self._rto_event is not None:
-            self._rto_event.cancel()
-        if self.sim.now >= self._end_time:
+        """Restart the retransmission timer at ``now + rto_s``.
+
+        Lazy: this only moves the deadline.  At most one timer event is
+        queued at a time, and one that fires before the deadline re-arms
+        itself for it, so an ACK costs no event.
+        """
+        now = self.sim.now
+        if now >= self._end_time:
+            self._rto_deadline = None
             return
-        self._rto_event = self.sim.call_in(self.rto_s, self._rto_fired)
+        self._rto_deadline = now + self.rto_s
+        if not self._rto_timer_live:
+            self._rto_timer_live = True
+            self.sim.call_at(self._rto_deadline, self._rto_fired)
 
     def _rto_fired(self) -> None:
-        if self.sim.now >= self._end_time:
+        self._rto_timer_live = False
+        deadline = self._rto_deadline
+        if deadline is None or self.sim.now >= self._end_time:
+            self._rto_deadline = None
             return
+        if self.sim.now < deadline:
+            # ACKs moved the deadline since this event was queued.
+            self._rto_timer_live = True
+            self.sim.call_at(deadline, self._rto_fired)
+            return
+        self._rto_deadline = None
         if self._in_flight() == 0 and not self._queue:
             # Idle (window fully acked): nothing to recover.
             self._pump()

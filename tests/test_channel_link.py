@@ -6,8 +6,12 @@ import pytest
 from repro.channel.gilbert import GilbertParams
 from repro.channel.interference import MicrowaveOven
 from repro.channel.link import LinkConfig, WifiLink, paired_links
-from repro.channel.mobility import Position, StaticPosition
-from repro.channel.pathloss import PathLossParams
+from repro.channel.mobility import (
+    Position,
+    RandomWaypointMobility,
+    StaticPosition,
+)
+from repro.channel.pathloss import LogDistancePathLoss, PathLossParams
 from repro.core.config import StreamProfile
 from repro.sim import RandomRouter
 
@@ -131,3 +135,50 @@ def test_mimo_link_fades_less():
     siso_trace = siso.generate_trace(SHORT)
     mimo_trace = mimo.generate_trace(SHORT)
     assert mimo_trace.loss_rate <= siso_trace.loss_rate
+
+
+# ------------------------------------------------------- slow-SNR memo
+
+SWEEP = [0.013 * k for k in range(4000)]   # 0-52 s, several queries a step
+
+
+def _sweep_against_fresh(link):
+    """Query ``mean_snr_db`` over the sweep, checking every answer against
+    a fresh path-loss computation; returns the (distance, shadowing)
+    pairs seen."""
+    seen = set()
+    for t in SWEEP:
+        for _ in range(2):
+            snr = link.mean_snr_db(t)
+            distance = link.distance_m(t)
+            assert snr == link._pathloss.snr_db(distance)
+        seen.add((distance, link._pathloss.shadowing_db))
+    return seen
+
+
+def test_mean_snr_exact_for_moving_client():
+    mobility = RandomWaypointMobility(RandomRouter(11).stream("walk"))
+    link = WifiLink(LinkConfig(), RandomRouter(11), mobility=mobility)
+    seen = _sweep_against_fresh(link)
+    assert len({distance for distance, _ in seen}) > 100
+
+
+def test_mean_snr_exact_under_environment_drift():
+    link = make_link(seed=12, environment_drift=True)
+    seen = _sweep_against_fresh(link)
+    assert len({shadowing for _, shadowing in seen}) > 10
+
+
+def test_static_link_computes_path_loss_once(monkeypatch):
+    calls = []
+    original = LogDistancePathLoss.path_loss_db
+
+    def counting(self, distance_m):
+        calls.append(distance_m)
+        return original(self, distance_m)
+
+    monkeypatch.setattr(LogDistancePathLoss, "path_loss_db", counting)
+    link = make_link(seed=13)
+    for t in SWEEP:
+        link.attempt_loss_prob(t)
+    assert len(calls) == 1

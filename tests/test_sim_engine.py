@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event engine."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import HeapOrderError, RandomRouter, SimulationError, Simulator
 
@@ -261,3 +263,57 @@ def test_mutated_event_time_unnoticed_without_sanitizer(monkeypatch):
     rogue.time = 1.0
     sim.run()
     assert order == ["a", "b"]   # executed despite t=1.0 < 5.0
+
+
+# ------------------------------------------------------ ordering property
+
+#: one scheduled event: (time, cancelled before the run, delay of a child
+#: it schedules when it fires, or None); few distinct times, so ties are
+#: common
+_ENTRIES = st.lists(
+    st.tuples(st.sampled_from((0.0, 0.25, 1.0, 2.5))
+              | st.floats(min_value=0.0, max_value=5.0),
+              st.booleans(),
+              st.none() | st.sampled_from((0.0, 0.25))),
+    max_size=30)
+
+
+def _drive(entries, use_step):
+    """Schedule ``entries`` and run them; returns the fired indices and
+    every handle.  Each event's args hold an ``object()``, which has no
+    ordering: comparing two heap entries past ``seq`` would raise."""
+    sim = Simulator()
+    handles = []
+    fired = []
+
+    def fire(index, _token, child_delay):
+        fired.append(index)
+        if child_delay is not None:
+            handles.append(sim.call_in(child_delay, fire, len(handles),
+                                       object(), None))
+
+    for time, _, child_delay in entries:
+        handles.append(sim.call_at(time, fire, len(handles), object(),
+                                   child_delay))
+    for (_, cancel, _), event in zip(entries, list(handles)):
+        if cancel:
+            event.cancel()
+    if use_step:
+        while sim.step():
+            pass
+    else:
+        sim.run()
+    return fired, handles
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ENTRIES)
+def test_events_fire_in_time_seq_order(entries):
+    fired, handles = _drive(entries, use_step=False)
+    # A handle's index is its scheduling order: the seq tie-break.
+    keys = [(handles[i].time, i) for i in fired]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    assert sorted(fired) == [i for i, event in enumerate(handles)
+                             if not event.cancelled]
+    stepped, _ = _drive(entries, use_step=True)
+    assert stepped == fired

@@ -1,5 +1,7 @@
 """Tests for traffic sources: RTP, VoIP/high-rate senders, TCP Reno."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -180,3 +182,64 @@ def test_tcp_double_start_rejected():
 def test_tcp_stats_throughput_zero_without_duration():
     from repro.traffic.tcp import TcpStats
     assert TcpStats(duration_s=0.0).throughput_bps == 0.0
+
+
+# ------------------------------------------------- lazy retransmission timer
+
+def _live_rto_events(sim, tcp):
+    return sum(1 for event in sim._queue
+               if not event.cancelled and event[2] == tcp._rto_fired)
+
+
+def test_tcp_steady_acks_keep_one_live_rto_event():
+    sim = Simulator()
+    tcp = TcpReno(sim, RandomRouter(5).stream("tcp"), duration_s=5.0,
+                  wireless_loss_prob=0.0)
+    tcp.start()
+    most_live = _live_rto_events(sim, tcp)
+    while sim.step():
+        most_live = max(most_live, _live_rto_events(sim, tcp))
+    assert tcp.stats.bytes_acked > 0
+    assert tcp.stats.timeouts == 0
+    assert most_live == 1
+
+
+def test_tcp_timeout_fires_rto_after_last_ack():
+    """Radio absent over [2, 3) s: the ACK clock stops, and the timeout
+    counts exactly ``rto_s`` after the last ACK that advanced the window."""
+    sim = Simulator()
+    tcp = TcpReno(sim, RandomRouter(6).stream("tcp"), duration_s=5.0,
+                  wireless_loss_prob=0.0,
+                  radio_present=lambda: not 2.0 <= sim.now < 3.0)
+    tcp.start()
+    last_advance = None
+    snd_una = tcp._snd_una
+    while tcp.stats.timeouts == 0 and sim.step():
+        if tcp._snd_una != snd_una:
+            snd_una, last_advance = tcp._snd_una, sim.now
+    assert tcp.stats.timeouts == 1
+    assert 2.0 < sim.now < 3.0
+    assert sim.now == last_advance + tcp.rto_s
+
+
+def test_tcp_rto_has_no_effect_after_end_time():
+    sim = Simulator()
+    tcp = TcpReno(sim, RandomRouter(7).stream("tcp"), duration_s=1.0,
+                  wireless_loss_prob=0.0)
+    tcp.start()
+    sim.run()
+    # The queue drained: no timer re-armed itself past the end time.
+    assert sim.now > 1.0
+    assert sim.peek() is None
+
+    def state():
+        return (dataclasses.asdict(tcp.stats), tcp._cwnd, tcp._ssthresh,
+                tcp._snd_una, tcp._next_seq, list(tcp._queue))
+
+    before = state()
+    for deadline in (None, sim.now - tcp.rto_s, sim.now,
+                     sim.now + tcp.rto_s):
+        tcp._rto_deadline = deadline
+        tcp._rto_fired()
+        assert state() == before
+        assert sim.peek() is None
