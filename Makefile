@@ -44,7 +44,8 @@ typecheck:
 sanitize-test:
 	REPRO_SANITIZE=1 $(PYTHON) -m pytest tests/test_sim_engine.py \
 		tests/test_sim_random.py tests/test_client_controller.py \
-		tests/test_traffic.py -q
+		tests/test_traffic.py tests/test_event_golden.py \
+		tests/test_wifi_phy_mac.py -q
 
 test-output:
 	$(PYTHON) -m pytest tests/ 2>&1 | tee test_output.txt

@@ -107,7 +107,7 @@ def select_mcs_indices(mean_snr_db: FloatArray,
 
 def _attempt_backoff_means_s(config: LinkConfig) -> FloatArray:
     """Expected DIFS + contention backoff per retry stage (the mean of
-    :meth:`repro.wifi.mac.MacLayer._backoff_s`)."""
+    the backoff :meth:`repro.wifi.mac.MacLayer.transmit` draws)."""
     mac = config.mac
     attempts = np.arange(mac.retry_limit + 1)
     cw = np.minimum(mac.cw_min * 2.0 ** attempts + 2.0 ** attempts - 1.0,

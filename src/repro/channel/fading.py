@@ -13,26 +13,39 @@ MIMO helps against multipath fading but not against shadowing/interference.
 
 from __future__ import annotations
 
-from typing import Optional
+import math
+from typing import Optional, Union
 
 import numpy as np
 
+from repro.sim.random import NormalReadAhead
+
+#: std-dev of each quadrature of a unit-power complex gain
+_QUADRATURE_SIGMA = math.sqrt(0.5)
+
 
 class RayleighFading:
-    """Rayleigh-faded channel gain with AR(1) temporal correlation."""
+    """Rayleigh-faded channel gain with AR(1) temporal correlation.
 
-    def __init__(self, rng: np.random.Generator,
+    ``rng`` is the fading stream, or a :class:`NormalReadAhead` over it
+    when several processes share that stream.
+    """
+
+    def __init__(self, rng: Union[np.random.Generator, NormalReadAhead],
                  coherence_time_s: float = 0.050):
         if coherence_time_s <= 0:
             raise ValueError("coherence time must be positive")
-        self._rng = rng
+        self._normals = rng if isinstance(rng, NormalReadAhead) \
+            else NormalReadAhead(rng)
         self.coherence_time_s = coherence_time_s
         self._time: Optional[float] = None
         # complex gain, unit average power: Re/Im ~ N(0, 1/2)
         self._gain = self._fresh_gain()
 
     def _fresh_gain(self) -> complex:
-        re, im = self._rng.normal(0.0, np.sqrt(0.5), size=2)
+        standard_normal = self._normals.standard_normal
+        re = 0.0 + _QUADRATURE_SIGMA * standard_normal()
+        im = 0.0 + _QUADRATURE_SIGMA * standard_normal()
         return complex(re, im)
 
     def _rho(self, dt: float) -> float:
@@ -49,9 +62,11 @@ class RayleighFading:
             raise ValueError("fading process queried backwards")
         if dt > 0:
             rho = self._rho(dt)
-            sigma = np.sqrt(max(0.0, (1.0 - rho ** 2) / 2.0))
-            innovation = complex(self._rng.normal(0.0, sigma),
-                                 self._rng.normal(0.0, sigma))
+            variance = (1.0 - rho ** 2) / 2.0
+            sigma = math.sqrt(variance) if variance > 0.0 else 0.0
+            standard_normal = self._normals.standard_normal
+            innovation = complex(0.0 + sigma * standard_normal(),
+                                 0.0 + sigma * standard_normal())
             self._gain = rho * self._gain + innovation
             self._time = time
         return self._gain
@@ -59,7 +74,9 @@ class RayleighFading:
     def fade_db(self, time: float) -> float:
         """Instantaneous fade relative to average power, in dB."""
         power = abs(self.gain_at(time)) ** 2
-        return float(10.0 * np.log10(max(power, 1e-12)))
+        if power < 1e-12:
+            power = 1e-12
+        return float(10.0 * np.log10(power))
 
 
 class RicianFading(RayleighFading):
@@ -81,7 +98,9 @@ class RicianFading(RayleighFading):
         scatter = self.gain_at(time) * self._scatter_scale
         total = self._los_amplitude + scatter
         power = abs(total) ** 2
-        return float(10.0 * np.log10(max(power, 1e-12)))
+        if power < 1e-12:
+            power = 1e-12
+        return float(10.0 * np.log10(power))
 
 
 class SelectionDiversityFading:
@@ -89,14 +108,16 @@ class SelectionDiversityFading:
 
     A first-order model of MRC/selection combining across spatial streams:
     the effective fade is the max over branches, which removes most deep
-    multipath fades (Section 4.3's PHY-layer diversity).
+    multipath fades (Section 4.3's PHY-layer diversity).  The branches
+    draw from one stream, so they share one read-ahead buffer.
     """
 
     def __init__(self, rng: np.random.Generator, n_branches: int = 2,
                  coherence_time_s: float = 0.050):
         if n_branches < 1:
             raise ValueError("need at least one branch")
-        self._branches = [RayleighFading(rng, coherence_time_s)
+        normals = NormalReadAhead(rng)
+        self._branches = [RayleighFading(normals, coherence_time_s)
                           for _ in range(n_branches)]
 
     @property

@@ -82,7 +82,6 @@ class WifiLink:
         self.config = config
         self.name = config.name
         prefix = f"link.{config.name}"
-        self._rng_loss = rng_router.stream(f"{prefix}.loss")
         self._rng_delay = rng_router.stream(f"{prefix}.delay")
         self._pathloss = LogDistancePathLoss(
             config.pathloss, rng_router.stream(f"{prefix}.shadow"))

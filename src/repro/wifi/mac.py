@@ -24,6 +24,7 @@ from repro.obs.registry import (
     MetricsRegistry,
 )
 from repro.obs.runtime import active_registry
+from repro.sim.random import UniformReadAhead
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,13 @@ class MacLayer:
                  metrics: Optional[MetricsRegistry] = None,
                  metric_labels: Optional[Dict[str, LabelValue]] = None):
         self.config = config
-        self._rng = rng
+        self._draws = UniformReadAhead(rng)
+        # Backoff slot choices per attempt: the contention window doubles
+        # from cw_min up to cw_max, and a backoff draws 0..cw slots.
+        self._backoff_choices = tuple(
+            min(config.cw_min * (2 ** attempt) + (2 ** attempt - 1),
+                config.cw_max) + 1
+            for attempt in range(config.retry_limit + 1))
         # Instruments are resolved once here, not per frame: transmit()
         # runs per packet and a dict lookup per counter would be hot.
         registry = metrics if metrics is not None else active_registry()
@@ -79,30 +86,27 @@ class MacLayer:
             self._m_attempt_hist = registry.histogram(
                 "mac.attempts_per_frame", bounds=COUNT_BUCKETS, **labels)
 
-    def _backoff_s(self, attempt: int) -> float:
-        cw = min(self.config.cw_min * (2 ** attempt) + (2 ** attempt - 1),
-                 self.config.cw_max)
-        slots = int(self._rng.integers(0, cw + 1))
-        return self.config.difs_s + slots * self.config.slot_time_s
-
     def transmit(self, start_time: float,
                  attempt_loss_prob: Callable[[float], float],
-                 airtime_s: float = None) -> TransmissionResult:
+                 airtime_s: Optional[float] = None) -> TransmissionResult:
         """Attempt delivery starting at ``start_time``.
 
         Returns the result with the cumulative service time (backoffs +
         airtimes across all attempts).
         """
+        config = self.config
         airtime = (airtime_s if airtime_s is not None
-                   else self.config.attempt_airtime_s)
+                   else config.attempt_airtime_s)
+        draws = self._draws
         elapsed = 0.0
         result = None
-        for attempt in range(self.config.retry_limit + 1):
-            elapsed += self._backoff_s(attempt)
+        for attempt, choices in enumerate(self._backoff_choices):
+            elapsed += config.difs_s + draws.integers(choices) \
+                * config.slot_time_s
             tx_time = start_time + elapsed
             elapsed += airtime
             p_loss = attempt_loss_prob(tx_time)
-            if self._rng.random() >= p_loss:
+            if draws.random() >= p_loss:
                 result = TransmissionResult(
                     delivered=True, attempts=attempt + 1,
                     service_time_s=elapsed)

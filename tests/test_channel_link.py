@@ -1,10 +1,16 @@
 """Tests for the composed WifiLink and paired-link construction."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from repro.channel.gilbert import GilbertParams
-from repro.channel.interference import MicrowaveOven
+from repro.channel.interference import (
+    CompositeInterference,
+    CongestionProcess,
+    MicrowaveOven,
+)
 from repro.channel.link import LinkConfig, WifiLink, paired_links
 from repro.channel.mobility import (
     Position,
@@ -14,6 +20,7 @@ from repro.channel.mobility import (
 from repro.channel.pathloss import LogDistancePathLoss, PathLossParams
 from repro.core.config import StreamProfile
 from repro.sim import RandomRouter
+from repro.wifi.phy import PhyConfig
 
 
 SHORT = StreamProfile(duration_s=10.0)  # 500 packets
@@ -182,3 +189,47 @@ def test_static_link_computes_path_loss_once(monkeypatch):
     for t in SWEEP:
         link.attempt_loss_prob(t)
     assert len(calls) == 1
+
+
+# ------------------------------------------- golden traces of fading variants
+#
+# The event-golden ops only build single-branch Rayleigh links; these pin
+# the other fading paths (and interference on top) to trace digests, so
+# any change to the values their MAC and fading draws produce shows here.
+
+GOLDEN_PROFILE = StreamProfile(duration_s=60.0)   # 3000 packets
+
+GOLDEN_TRACE_DIGESTS = {
+    # two spatial branches share one fading stream and one normal buffer
+    "mimo-2": "b093705bab0fcdd2a2d977602d456f00dddab50af658755b97cb86fec8b058b9",
+    "rician-6db": "ce4d516a8417986e207089ccf715f8d88d1a93834f747555938ed471dbbb9420",
+    "microwave+congestion": "7c16b26c01169afc82c776130d1bac86c9a030c96d126ec25108e871a4def6f3",
+}
+
+
+def _golden_link(variant):
+    router = RandomRouter(2015)
+    interference = None
+    if variant == "mimo-2":
+        config = LinkConfig(name="golden",
+                            phy=PhyConfig(n_spatial_branches=2))
+    elif variant == "rician-6db":
+        config = LinkConfig(name="golden", rician_k_db=6.0)
+    else:
+        config = LinkConfig(name="golden")
+        interference = CompositeInterference(
+            MicrowaveOven(router.stream("golden.microwave"),
+                          episode_rate_hz=0.1, episode_duration_s=5.0),
+            CongestionProcess(router.stream("golden.congestion")))
+    mobility = StaticPosition(Position(
+        config.ap_position.x + 30.0, config.ap_position.y))
+    return WifiLink(config, router, mobility=mobility,
+                    interference=interference)
+
+
+@pytest.mark.parametrize("variant", sorted(GOLDEN_TRACE_DIGESTS))
+def test_fading_variant_trace_digest(variant):
+    trace = _golden_link(variant).generate_trace(GOLDEN_PROFILE)
+    digest = hashlib.sha256(trace.delivered.tobytes())
+    digest.update(trace.delays.tobytes())
+    assert digest.hexdigest() == GOLDEN_TRACE_DIGESTS[variant]

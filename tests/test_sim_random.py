@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.sim import RandomRouter, StreamSharingError
+from repro.sim import random as sim_random
+from repro.sim.random import NormalReadAhead, UniformReadAhead
 
 
 def test_same_seed_same_name_same_sequence():
@@ -111,3 +115,101 @@ def test_sanitizer_does_not_change_stream_values(monkeypatch):
     monkeypatch.setenv("REPRO_SANITIZE", "1")
     sanitized = RandomRouter(seed=9).stream("values").random(50)
     assert np.array_equal(plain, sanitized)
+
+
+# ------------------------------------------------------- read-ahead draw helpers
+#
+# Each case replays the same draws through a live Generator making the
+# scalar numpy calls and through a helper over an identically seeded twin;
+# every value must match exactly.  These are the tripwire for a numpy
+# release that changes PCG64's uint32 buffering or the Lemire rejection.
+# Sequences run past READ_AHEAD_BLOCK draws so refills land mid-sequence;
+# the refill tests also shrink the block to 1 and 2 entries.
+
+#: None means ``random()``; an int n means ``integers(0, n)``.  2**31 and
+#: 3 * 2**30 make an off-by-one rejection threshold visible quickly.
+_UNIFORM_OPS = st.lists(
+    st.sampled_from((None, 1, 2, 16, 1024, 2 ** 31, 1000, 3 * 2 ** 30)),
+    max_size=600)
+
+
+def _twins(seed):
+    return np.random.default_rng(seed), np.random.default_rng(seed)
+
+
+def _replay(live, helper, ops):
+    for n in ops:
+        if n is None:
+            assert helper.random() == live.random()
+        else:
+            assert helper.integers(n) == int(live.integers(0, n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), ops=_UNIFORM_OPS,
+       pre_buffered=st.booleans())
+def test_uniform_read_ahead_matches_live_generator(seed, ops, pre_buffered):
+    live, twin = _twins(seed)
+    if pre_buffered:
+        # Leaves PCG64's high uint32 half buffered in both generators.
+        assert int(live.integers(0, 5)) == int(twin.integers(0, 5))
+    _replay(live, UniformReadAhead(twin), ops)
+
+
+@pytest.mark.parametrize("block", (1, 2, 256))
+def test_uniform_read_ahead_refills_mid_sequence(block, monkeypatch):
+    monkeypatch.setattr(sim_random, "READ_AHEAD_BLOCK", block)
+    live, twin = _twins(20150)
+    ops = [None, 2, 16, None, 2 ** 31, 1024, 3 * 2 ** 30, 1000] * 200
+    _replay(live, UniformReadAhead(twin), ops)
+
+
+def test_integers_of_one_is_zero_without_a_draw():
+    live, twin = _twins(4)
+    helper = UniformReadAhead(twin)
+    assert helper.integers(1) == 0 == int(live.integers(0, 1))
+    assert helper.random() == live.random()
+    assert helper.integers(7) == int(live.integers(0, 7))
+
+
+def test_uniform_read_ahead_takes_over_a_buffered_uint32():
+    live, twin = _twins(8)
+    live.integers(0, 1000)
+    twin.integers(0, 1000)
+    assert twin.bit_generator.state["has_uint32"] == 1
+    helper = UniformReadAhead(twin)
+    # The first 32-bit draw is the buffered high half, not a fresh output.
+    _replay(live, helper, [1000, None, 1000, 1000, None])
+
+
+def test_uniform_read_ahead_rejects_what_it_cannot_emulate():
+    with pytest.raises(TypeError):
+        UniformReadAhead(np.random.Generator(np.random.MT19937(0)))
+    helper = UniformReadAhead(np.random.default_rng(0))
+    for n in (0, 2 ** 32):
+        with pytest.raises(ValueError):
+            helper.integers(n)
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1),
+       sigmas=st.lists(st.just(0.0) | st.floats(0.0, 1.0, exclude_min=True,
+                                                exclude_max=True),
+                       max_size=600))
+def test_normal_read_ahead_matches_live_generator(seed, sigmas):
+    live, twin = _twins(seed)
+    helper = NormalReadAhead(twin)
+    for sigma in sigmas:
+        expected = live.normal(0.0, sigma)
+        value = 0.0 + sigma * helper.standard_normal()
+        assert value == expected
+        assert np.signbit(value) == np.signbit(expected)
+
+
+@pytest.mark.parametrize("block", (1, 2, 256))
+def test_normal_read_ahead_refills_mid_sequence(block, monkeypatch):
+    monkeypatch.setattr(sim_random, "READ_AHEAD_BLOCK", block)
+    live, twin = _twins(20151)
+    helper = NormalReadAhead(twin)
+    for _ in range(700):
+        assert helper.standard_normal() == live.standard_normal()
