@@ -15,7 +15,7 @@ The aggregators:
   category)`` call totals and poor-call totals.  PCR, the Table 1
   deltas and the Wilson confidence bounds are all pure functions of
   these integers, so at any population size the table values equal the
-  scalar path's to the last bit.
+  in-memory analysis's to the last bit.
 * :class:`GridCdf` — a fixed-grid CDF/quantile sketch: integer bin
   counts over ``[lo, hi)`` plus min/max and out-of-range tallies.
   Quantiles interpolate inside one bin, so the error is bounded by the
@@ -89,8 +89,7 @@ class LabeledCounts:
         return self.counts.get(label, (0, 0))[1]
 
     def pcr(self, label: Tuple[str, ...]) -> float:
-        """Poor-call rate for ``label`` — ``poor / n`` exactly as
-        ``float(np.mean([...]))`` computes it on the scalar path
+        """Poor-call rate for ``label``: ``poor / n``, NaN for no calls
         (integer counts are exact in float64 up to 2**53)."""
         n, poor = self.counts.get(label, (0, 0))
         if n == 0:

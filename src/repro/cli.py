@@ -121,6 +121,18 @@ _COMMANDS: Dict[str, Tuple[Callable, Optional[int], str]] = {
 }
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for the population-size flags: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0   # rejected below with the same message
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be an integer >= 1, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -128,9 +140,9 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("command",
                         choices=sorted(_COMMANDS) + ["list", "all"],
                         help="experiment id, 'list', or 'all'")
-    parser.add_argument("--runs", type=int, default=None,
+    parser.add_argument("--runs", type=_positive_int, default=None,
                         help="run count override (per experiment)")
-    parser.add_argument("--calls", type=int, default=None,
+    parser.add_argument("--calls", type=_positive_int, default=None,
                         help="population size for the whole-population "
                              "study commands (provider: calls "
                              "generated, default 1000000; nettest: "

@@ -36,10 +36,11 @@ they execute the same :func:`simulate_call` on the same streams.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
+from repro.analysis.sketch import LabeledCounts
 from repro.channel.gilbert import GilbertParams, sample_loss_array
 from repro.core.config import G711_PROFILE, StreamProfile
 from repro.core.packet import LinkTrace
@@ -84,39 +85,66 @@ class NetTestDataset:
     calls: List[NetTestCall] = field(default_factory=list)
 
     def pcr(self, category: Optional[str] = None) -> float:
-        subset = [c for c in self.calls
-                  if category is None or c.category == category]
-        if not subset:
-            return float("nan")
-        return float(np.mean([c.poor for c in subset]))
+        """PCR of one category (default: of every call)."""
+        table, _ = call_counts(self.calls)
+        return table.pcr((TOTAL if category is None else category,))
 
     def table2(self) -> List[Tuple[str, int, float]]:
         """(category, total calls, PCR %) rows plus the total."""
-        rows = []
-        for category in CATEGORY_COUNTS:
-            subset = [c for c in self.calls if c.category == category]
-            rows.append((category, len(subset),
-                         100.0 * self.pcr(category)))
-        rows.append(("Total", len(self.calls), 100.0 * self.pcr()))
-        return rows
-
-    def per_user_pcr(self) -> Dict[int, float]:
-        """PCR per participating WiFi client."""
-        per_user: Dict[int, List[bool]] = {}
-        for call in self.calls:
-            for user in (call.client_a, call.client_b):
-                if user >= 0:
-                    per_user.setdefault(user, []).append(call.poor)
-        return {u: float(np.mean(poors))
-                for u, poors in per_user.items()}
+        return table2_rows(call_counts(self.calls)[0])
 
     def spatial_stats(self) -> Tuple[float, float]:
         """(fraction of users with >= 1 poor call,
         fraction with PCR >= 20%) — the Section 3.2 spatial numbers."""
-        per_user = self.per_user_pcr()
-        values = np.array(list(per_user.values()))
-        return (float(np.mean(values > 0.0)),
-                float(np.mean(values >= 0.20)))
+        return user_fractions(call_counts(self.calls)[1])
+
+
+# ---------------------------------------------------------------------------
+# Table 2 reduction: one set of rules over exact counters, shared by
+# NetTestDataset (one in-memory study) and the population study
+# (repro.studies.population, merged per-block counts)
+
+#: the counter label of every call, whatever its category
+TOTAL = "Total"
+
+#: per WiFi client: (endpoint slots in calls, poor calls among them)
+UserTallies = Dict[int, Tuple[int, int]]
+
+
+def call_counts(calls: Iterable[NetTestCall]
+                ) -> Tuple[LabeledCounts, UserTallies]:
+    """Per-category and :data:`TOTAL` counters, and per-user tallies.
+
+    Users are counted per endpoint *slot*: a WW call that drew the same
+    client twice counts it twice.
+    """
+    table = LabeledCounts()
+    users: UserTallies = {}
+    for call in calls:
+        poor = int(call.poor)
+        table.observe((call.category,), 1, poor)
+        table.observe((TOTAL,), 1, poor)
+        for user in (call.client_a, call.client_b):
+            if user >= 0:
+                slots, poors = users.get(user, (0, 0))
+                users[user] = (slots + 1, poors + poor)
+    return table, users
+
+
+def table2_rows(table: LabeledCounts) -> List[Tuple[str, int, float]]:
+    """Table 2's (category, total calls, PCR %) rows plus the total."""
+    return [(label, table.n((label,)), 100.0 * table.pcr((label,)))
+            for label in (*CATEGORY_COUNTS, TOTAL)]
+
+
+def user_fractions(users: UserTallies) -> Tuple[float, float]:
+    """(fraction of users with >= 1 poor call, fraction with PCR >=
+    20%) over the per-user tallies; NaN for no users."""
+    if not users:
+        return float("nan"), float("nan")
+    pcrs = [poors / slots for slots, poors in users.values()]
+    return (sum(1 for v in pcrs if v > 0.0) / len(pcrs),
+            sum(1 for v in pcrs if v >= 0.20) / len(pcrs))
 
 
 def _client_gilbert(rng: np.random.Generator) -> GilbertParams:
@@ -182,7 +210,7 @@ class ClientState:
     """Shared per-participant state (quality processes, base delays).
 
     Drawn once per population from the root router's
-    ``"nettest.clients"`` stream; every block — scalar or population
+    ``"nettest.clients"`` stream; every block — in memory or population
     backend, any process — rebuilds the identical state.
     """
 
@@ -292,7 +320,7 @@ def render_nettest_block(block: int, count: int, seed: int,
 def run_nettest_study(seed: int = 0,
                       profile: StreamProfile = G711_PROFILE,
                       scale: float = 1.0) -> NetTestDataset:
-    """Simulate the full 9224-call study (scalar reference path).
+    """Simulate the full 9224-call study in memory.
 
     ``scale`` < 1 shrinks every category proportionally (for quick tests).
     """

@@ -1,21 +1,24 @@
-"""Whole-population backends for the Section 3 studies (Tables 1 & 2).
+"""Whole-population drivers for the Section 3 studies (Tables 1 & 2).
 
-The scalar paths in :mod:`repro.studies.provider` and
-:mod:`repro.studies.nettest` are readable references: one Python object
-per call.  At the paper's scale — a *year* of provider ratings, 10^6+
-calls — that representation is the bottleneck, so this module is the
-scale path:
+:func:`repro.studies.provider.analyze_table1` and
+:meth:`repro.studies.nettest.NetTestDataset.table2` reduce one
+in-memory study.  At the paper's scale — a *year* of provider ratings,
+10^6+ calls — holding one Python object per call is the bottleneck, so
+this module runs the same studies block by block:
 
-* **Vectorized generation** — :func:`render_provider_block` replays a
-  provider call block as whole-array numpy draws from the *same* named
-  substreams as :func:`repro.studies.provider.synthesize_provider_block`.
-  Because a batched ``Generator`` draw consumes the bit stream exactly
-  like the equivalent sequence of scalar draws, the E-model and MOS
-  cubic are the same :mod:`repro.voice.quality` functions applied to
-  whole arrays, and the remaining arithmetic (loss composition,
-  half-even rating rounding) mirrors the scalar expressions op for op,
-  the rendered calls are **bit-identical** to the scalar loop (pinned
-  by ``tests/test_population.py``).
+* **One generator, one reduction** — a provider block is rendered by
+  :func:`repro.studies.provider.render_provider_block` and reduced by
+  the same Table 1 rules :func:`~repro.studies.provider.analyze_table1`
+  uses (:func:`~repro.studies.provider.table1_pass1`,
+  :class:`~repro.studies.provider.PairTallies`,
+  :func:`~repro.studies.provider.table1_pass2`,
+  :func:`~repro.studies.provider.table1_rows`); NetTest blocks are
+  reduced by :func:`repro.studies.nettest.call_counts` and tabulated by
+  :func:`~repro.studies.nettest.table2_rows` /
+  :func:`~repro.studies.nettest.user_fractions`.  The only difference
+  from the in-memory paths is how counts are sharded and merged, and
+  the counters are exact, so every row is equal at any population size
+  (``tests/test_population.py``, ``tests/test_section3_golden.py``).
 
 * **Runner sharding** — blocks are mapped through
   :func:`repro.runner.map_configs` as module-level tasks
@@ -42,12 +45,12 @@ passes over the same blocks:
 
 1. :func:`provider_pass1_metrics` returns the All/PC counters plus
    sparse per-pair EE/WW tallies (all calls and PC-only calls);
-2. the driver merges pass-1 payloads in spec order, computes the
-   balanced pair sets exactly like the scalar
-   ``provider._balanced_pairs`` (pairs with at least one EE rated call
-   and #EE >= #WW), and hands them to :func:`provider_pass2_metrics`
-   as sorted lists **inside the task config** — part of the cache key,
-   so a pass-2 result can never pair with the wrong filter.
+2. the driver merges the pass-1 tallies in spec order, takes the
+   balanced pair sets from
+   :meth:`~repro.studies.provider.PairTallies.balanced`, and hands them
+   to :func:`provider_pass2_metrics` as sorted lists **inside the task
+   config** — part of the cache key, so a pass-2 result can never pair
+   with the wrong filter.
 
 Observability: each task wraps its phases in ``population.render`` /
 ``population.reduce`` spans on a :class:`repro.obs.SimulatedClock`
@@ -58,44 +61,40 @@ deterministic metrics path.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import (Any, Dict, Iterator, List, Optional, Sequence,
+                    Tuple)
 
 import numpy as np
 
-from repro.analysis.sketch import (
-    GridCdf,
-    LabeledCounts,
-    MomentSketch,
-    wilson_interval,
-)
-from repro.obs import SimulatedClock, Span, SpanTracker
+from repro.analysis.sketch import GridCdf, LabeledCounts, MomentSketch
+from repro.obs import SimulatedClock, SpanTracker
 from repro.obs.runtime import active_registry
 from repro.runner import RunnerConfig, map_configs
 from repro.studies.nettest import (
-    CATEGORY_COUNTS,
     NETTEST_BLOCK,
+    TOTAL,
+    UserTallies,
+    call_counts,
     client_state,
     render_nettest_block,
     schedule_size,
+    table2_rows,
+    user_fractions,
 )
 from repro.studies.provider import (
-    CALL_BLOCK,
-    DEVICE_PENALTY_SCALE,
-    GLITCH_PENALTY_SCALE,
-    WIFI_LOSS_MEDIAN,
-    WIFI_LOSS_SIGMA,
-    PairState,
-    RatedCall,
+    PairTallies,
+    ProviderBlockArrays,
+    RatedColumns,
     Table1Row,
-    _CATEGORY_BY_WIFI_COUNT,
-    _PC_GIVEN_ETHERNET,
-    _relative_delta,
-    block_router,
-    n_call_blocks,
+    call_blocks,
     pair_state,
+    render_provider_block,
+    table1_pass1,
+    table1_pass2,
+    table1_rows,
 )
-from repro.voice.quality import emodel_r_factor, r_to_mos
 
 __all__ = [
     "MOS_GRID",
@@ -103,15 +102,12 @@ __all__ = [
     "NetTestPopulationTables",
     "PASS1_TASK",
     "PASS2_TASK",
-    "ProviderBlockArrays",
     "ProviderPopulationTables",
     "nettest_block_metrics",
     "nettest_population_study",
-    "provider_block_calls",
     "provider_pass1_metrics",
     "provider_pass2_metrics",
     "provider_population_study",
-    "render_provider_block",
 ]
 
 #: runner entry points
@@ -123,148 +119,9 @@ NETTEST_TASK = "repro.studies.population:nettest_block_metrics"
 #: grids, so there is exactly one (lo, hi, bins) for the whole repo.
 MOS_GRID = (0.0, 5.0, 100)
 
-_CATEGORIES = ("EE", "EW", "WW")
-
 
 # ---------------------------------------------------------------------------
-# vectorized provider rendering (bit-exact vs the scalar reference)
-
-@dataclass(frozen=True)
-class ProviderBlockArrays:
-    """One rendered provider call block, every call as array rows.
-
-    ``rated`` marks the calls the user actually rated; the other fields
-    cover *all* ``count`` calls so downstream cuts (rated or not) stay
-    possible without re-rendering.
-    """
-
-    pair: np.ndarray        # subnet pair per call
-    wifi_count: np.ndarray  # WiFi endpoints per call: 0=EE, 1=EW, 2=WW
-    pc_class: np.ndarray    # both endpoints PC-class?
-    mos: np.ndarray         # pre-noise MOS after device/glitch penalties
-    rating: np.ndarray      # 1..5 (what the user would rate)
-    rated: np.ndarray       # did the user rate the call?
-
-
-def render_provider_block(block: int, count: int, seed: int,
-                          pairs: PairState,
-                          wifi_loss_median: float = WIFI_LOSS_MEDIAN,
-                          wifi_loss_sigma: float = WIFI_LOSS_SIGMA,
-                          device_penalty_scale: float =
-                          DEVICE_PENALTY_SCALE,
-                          glitch_penalty_scale: float =
-                          GLITCH_PENALTY_SCALE,
-                          response_bias: bool = True
-                          ) -> ProviderBlockArrays:
-    """Render one call block as arrays, bit-identical to the scalar loop.
-
-    Consumes exactly the draw layout documented on
-    :func:`repro.studies.provider.synthesize_provider_block`, one
-    whole-block array draw per named substream, scores every call with
-    the scalar path's own :mod:`repro.voice.quality` functions on whole
-    arrays, and mirrors the rest of the scalar arithmetic op for op (the
-    loss composition, the half-even rating rounding), so every field
-    equals the scalar path's to the last bit.
-    """
-    router = block_router(seed, block)
-    n_subnet_pairs = len(pairs.archetype)
-    log_median = np.log(wifi_loss_median)
-
-    pair = router.stream("pair").integers(0, n_subnet_pairs, size=count)
-    wifi_u = router.stream("wifi").random(size=(count, 2))
-    pc_u = router.stream("pc").random(size=(count, 2))
-    access = router.stream("access-loss").lognormal(
-        log_median, wifi_loss_sigma, size=(count, 2))
-    delay_draw = router.stream("delay").exponential(0.040, size=count)
-    device = router.stream("device").exponential(
-        device_penalty_scale, size=count)
-    glitch = router.stream("glitch").exponential(
-        glitch_penalty_scale, size=count)
-    noise = router.stream("rating-noise").normal(0.0, 0.55, size=count)
-    respond_u = router.stream("respond").random(size=count)
-
-    archetype = pairs.archetype[pair]
-    on_wifi = wifi_u < pairs.p_wifi[archetype][:, None]
-    pc = pc_u < np.where(on_wifi, pairs.p_pc_wifi[archetype][:, None],
-                         _PC_GIVEN_ETHERNET)
-    wifi_count = on_wifi.sum(axis=1)
-    pc_class = pc[:, 0] & pc[:, 1]
-
-    # Adding 0.0 for an Ethernet endpoint is a bitwise no-op (loss > 0),
-    # so drawing unconditionally and applying conditionally preserves
-    # the scalar accumulation order: (base + access0) + access1.
-    loss = pairs.backhaul_loss[archetype] * pairs.backhaul[pair]
-    loss = loss + np.where(on_wifi[:, 0], access[:, 0], 0.0)
-    loss = loss + np.where(on_wifi[:, 1], access[:, 1], 0.0)
-    loss = np.minimum(loss, 0.6)
-    burst = 1.0 + 2.5 * np.minimum(loss * 10.0, 1.0)
-    delay = pairs.base_delay[archetype] + delay_draw
-
-    mos = r_to_mos(emodel_r_factor(loss, delay, burst))
-    mos = mos - np.where(pc_class, 0.0, device)
-    mos = mos - glitch
-    rating = np.clip(np.round(mos + noise), 1.0, 5.0).astype(np.int64)
-
-    if response_bias:
-        p_respond = np.where(rating > 2, 0.10, 0.16)
-    else:
-        p_respond = np.full(count, 0.12)
-    rated = respond_u < p_respond
-    return ProviderBlockArrays(pair=pair, wifi_count=wifi_count,
-                               pc_class=pc_class, mos=mos,
-                               rating=rating, rated=rated)
-
-
-def provider_block_calls(arrays: ProviderBlockArrays) -> List[RatedCall]:
-    """The block's rated calls as scalar objects (parity tests and any
-    caller that wants the reference representation back)."""
-    return [RatedCall(
-        subnet_pair=int(arrays.pair[i]),
-        category=_CATEGORY_BY_WIFI_COUNT[int(arrays.wifi_count[i])],
-        pc_class=bool(arrays.pc_class[i]),
-        rating=int(arrays.rating[i]))
-        for i in np.nonzero(arrays.rated)[0]]
-
-
-# ---------------------------------------------------------------------------
-# per-block reduction helpers
-
-def _observe_subset(table: LabeledCounts, subset: str, mask: np.ndarray,
-                    cat: np.ndarray, poor: np.ndarray) -> None:
-    """Fold one subset's per-category counters into ``table``."""
-    table.observe((subset, "all"), int(mask.sum()),
-                  int((mask & poor).sum()))
-    for code, name in enumerate(_CATEGORIES):
-        in_cat = mask & (cat == code)
-        table.observe((subset, name), int(in_cat.sum()),
-                      int((in_cat & poor).sum()))
-
-
-def _pair_rows(pair: np.ndarray, cat: np.ndarray, mask: np.ndarray,
-               n_subnet_pairs: int) -> List[List[int]]:
-    """Sparse ``[pair, #EE, #WW]`` rows over the masked rated calls."""
-    ee = np.bincount(pair[mask & (cat == 0)], minlength=n_subnet_pairs)
-    ww = np.bincount(pair[mask & (cat == 2)], minlength=n_subnet_pairs)
-    hot = np.nonzero((ee > 0) | (ww > 0))[0]
-    return [[int(p), int(ee[p]), int(ww[p])] for p in hot]
-
-
-def _merge_pair_rows(ee: Dict[int, int], ww: Dict[int, int],
-                     rows: Sequence[Sequence[int]]) -> None:
-    for pair, n_ee, n_ww in rows:
-        if n_ee:
-            ee[int(pair)] = ee.get(int(pair), 0) + int(n_ee)
-        if n_ww:
-            ww[int(pair)] = ww.get(int(pair), 0) + int(n_ww)
-
-
-def _balanced_from_counts(ee: Dict[int, int],
-                          ww: Dict[int, int]) -> List[int]:
-    """Exactly ``provider._balanced_pairs`` on merged counters: pairs
-    with at least one EE rated call (an ``ee`` key) and #EE >= #WW."""
-    return sorted(pair for pair, n_ee in ee.items()
-                  if n_ee >= ww.get(pair, 0))
-
+# task phases
 
 def _tracker(registry: Any) -> Tuple[SimulatedClock,
                                      Optional[SpanTracker]]:
@@ -275,24 +132,50 @@ def _tracker(registry: Any) -> Tuple[SimulatedClock,
                               source="population")
 
 
-def _phase_span(tracker: Optional[SpanTracker], name: str,
-                block: int) -> Optional[Span]:
-    return tracker.span(name, block=block) if tracker is not None \
+@contextmanager
+def _phase(clock: SimulatedClock, tracker: Optional[SpanTracker],
+           name: str, block: int, count: int) -> Iterator[None]:
+    """One task phase: a span over ``count`` simulated call units."""
+    span = tracker.span(name, block=block) if tracker is not None \
         else None
+    yield
+    clock.advance(float(count))
+    if span is not None:
+        span.end()
+
+
+def _mos_sketches(mos: np.ndarray) -> Dict[str, Any]:
+    cdf = GridCdf(*MOS_GRID)
+    cdf.observe_array(mos)
+    moments = MomentSketch()
+    moments.observe_array(mos)
+    return {"mos_cdf": cdf.to_payload(),
+            "mos_moments": moments.to_payload()}
 
 
 # ---------------------------------------------------------------------------
 # provider runner tasks
 
+@contextmanager
+def _provider_block(block: int, count: int, root_seed: int,
+                    n_subnet_pairs: int
+                    ) -> Iterator[Tuple[ProviderBlockArrays,
+                                        RatedColumns]]:
+    """Render one provider block; the ``with`` body reduces its rated
+    calls inside the ``population.reduce`` span."""
+    registry = active_registry()
+    clock, tracker = _tracker(registry)
+    with _phase(clock, tracker, "population.render", block, count):
+        arrays = render_provider_block(
+            block, count, root_seed, pair_state(root_seed, n_subnet_pairs))
+    with _phase(clock, tracker, "population.reduce", block, count):
+        yield arrays, RatedColumns.of_block(arrays)
+    if registry is not None:
+        registry.counter("population.calls").inc(count)
+
+
 def provider_pass1_metrics(block: int, *, count: int, root_seed: int,
-                           n_subnet_pairs: int = 3000,
-                           wifi_loss_median: float = WIFI_LOSS_MEDIAN,
-                           wifi_loss_sigma: float = WIFI_LOSS_SIGMA,
-                           device_penalty_scale: float =
-                           DEVICE_PENALTY_SCALE,
-                           glitch_penalty_scale: float =
-                           GLITCH_PENALTY_SCALE,
-                           response_bias: bool = True) -> Dict[str, Any]:
+                           n_subnet_pairs: int = 3000) -> Dict[str, Any]:
     """Pass 1 over one provider block: All/PC counters + pair tallies.
 
     The payload is pure sketches — counter rows, sparse per-pair EE/WW
@@ -300,64 +183,22 @@ def provider_pass1_metrics(block: int, *, count: int, root_seed: int,
     sketches of the block's rated calls.  No call list ever leaves the
     task, which is what keeps million-call populations flat in memory.
     """
-    pairs = pair_state(root_seed, n_subnet_pairs)
+    with _provider_block(block, count, root_seed,
+                         n_subnet_pairs) as (arrays, rated):
+        table, pair_rows, pc_pair_rows = table1_pass1(rated)
+        payload = {"table": table.to_payload(), "pairs": pair_rows,
+                   "pc_pairs": pc_pair_rows,
+                   **_mos_sketches(arrays.mos[arrays.rated])}
     registry = active_registry()
-    clock, tracker = _tracker(registry)
-
-    span = _phase_span(tracker, "population.render", block)
-    arrays = render_provider_block(
-        block, count, root_seed, pairs,
-        wifi_loss_median=wifi_loss_median,
-        wifi_loss_sigma=wifi_loss_sigma,
-        device_penalty_scale=device_penalty_scale,
-        glitch_penalty_scale=glitch_penalty_scale,
-        response_bias=response_bias)
-    clock.advance(float(count))
-    if span is not None:
-        span.end()
-
-    span = _phase_span(tracker, "population.reduce", block)
-    rated = arrays.rated
-    cat = arrays.wifi_count[rated]
-    poor = arrays.rating[rated] <= 2
-    pair = arrays.pair[rated]
-    pc = arrays.pc_class[rated]
-    everything = np.ones(cat.shape, dtype=bool)
-
-    table = LabeledCounts()
-    _observe_subset(table, "all", everything, cat, poor)
-    _observe_subset(table, "pc", pc, cat, poor)
-    cdf = GridCdf(*MOS_GRID)
-    cdf.observe_array(arrays.mos[rated])
-    moments = MomentSketch()
-    moments.observe_array(arrays.mos[rated])
-    payload = {
-        "table": table.to_payload(),
-        "pairs": _pair_rows(pair, cat, everything, n_subnet_pairs),
-        "pc_pairs": _pair_rows(pair, cat, pc, n_subnet_pairs),
-        "mos_cdf": cdf.to_payload(),
-        "mos_moments": moments.to_payload(),
-    }
-    clock.advance(float(count))
-    if span is not None:
-        span.end()
     if registry is not None:
-        registry.counter("population.calls").inc(count)
-        registry.counter("population.rated_calls").inc(int(rated.sum()))
+        registry.counter("population.rated_calls").inc(len(rated.pair))
     return payload
 
 
 def provider_pass2_metrics(block: int, *, count: int, root_seed: int,
                            balanced: Sequence[int],
                            pc_balanced: Sequence[int],
-                           n_subnet_pairs: int = 3000,
-                           wifi_loss_median: float = WIFI_LOSS_MEDIAN,
-                           wifi_loss_sigma: float = WIFI_LOSS_SIGMA,
-                           device_penalty_scale: float =
-                           DEVICE_PENALTY_SCALE,
-                           glitch_penalty_scale: float =
-                           GLITCH_PENALTY_SCALE,
-                           response_bias: bool = True
+                           n_subnet_pairs: int = 3000
                            ) -> List[List[Any]]:
     """Pass 2: the balanced-/24 rows, re-rendered under the filter.
 
@@ -367,41 +208,9 @@ def provider_pass2_metrics(block: int, *, count: int, root_seed: int,
     content address — a cached pass-2 payload can never be replayed
     against a different filter.
     """
-    pairs = pair_state(root_seed, n_subnet_pairs)
-    registry = active_registry()
-    clock, tracker = _tracker(registry)
-
-    span = _phase_span(tracker, "population.render", block)
-    arrays = render_provider_block(
-        block, count, root_seed, pairs,
-        wifi_loss_median=wifi_loss_median,
-        wifi_loss_sigma=wifi_loss_sigma,
-        device_penalty_scale=device_penalty_scale,
-        glitch_penalty_scale=glitch_penalty_scale,
-        response_bias=response_bias)
-    clock.advance(float(count))
-    if span is not None:
-        span.end()
-
-    span = _phase_span(tracker, "population.reduce", block)
-    rated = arrays.rated
-    cat = arrays.wifi_count[rated]
-    poor = arrays.rating[rated] <= 2
-    pair = arrays.pair[rated]
-    pc = arrays.pc_class[rated]
-    in_balanced = np.isin(pair, np.asarray(list(balanced),
-                                           dtype=np.int64))
-    in_pc_balanced = pc & np.isin(pair, np.asarray(list(pc_balanced),
-                                                   dtype=np.int64))
-    table = LabeledCounts()
-    _observe_subset(table, "balanced", in_balanced, cat, poor)
-    _observe_subset(table, "pc_balanced", in_pc_balanced, cat, poor)
-    clock.advance(float(count))
-    if span is not None:
-        span.end()
-    if registry is not None:
-        registry.counter("population.calls").inc(count)
-    return table.to_payload()
+    with _provider_block(block, count, root_seed,
+                         n_subnet_pairs) as (_, rated):
+        return table1_pass2(rated, balanced, pc_balanced).to_payload()
 
 
 # ---------------------------------------------------------------------------
@@ -422,22 +231,8 @@ class ProviderPopulationTables:
     mos_moments: MomentSketch
 
 
-def _provider_items(n_calls: int, base: Dict[str, Any]
-                    ) -> List[Tuple[int, Dict[str, Any]]]:
-    return [(block, dict(base, count=min(CALL_BLOCK,
-                                         n_calls - block * CALL_BLOCK)))
-            for block in range(n_call_blocks(n_calls))]
-
-
 def provider_population_study(n_calls: int = 1_000_000, seed: int = 0,
                               n_subnet_pairs: int = 3000,
-                              wifi_loss_median: float = WIFI_LOSS_MEDIAN,
-                              wifi_loss_sigma: float = WIFI_LOSS_SIGMA,
-                              device_penalty_scale: float =
-                              DEVICE_PENALTY_SCALE,
-                              glitch_penalty_scale: float =
-                              GLITCH_PENALTY_SCALE,
-                              response_bias: bool = True,
                               runner_config: Optional[RunnerConfig] =
                               None) -> ProviderPopulationTables:
     """Run the whole-population provider study (Table 1 at scale).
@@ -446,64 +241,36 @@ def provider_population_study(n_calls: int = 1_000_000, seed: int = 0,
     blocks, maps the two passes through the runner, and folds the sketch
     payloads in spec order.  For any ``n_calls`` the resulting rows are
     exactly equal to ``analyze_table1(synthesize_provider_year(...))`` —
-    the counters are exact, and every division happens in the same order
-    on the same integers.
+    the counters are exact, and the rows come from the same
+    :func:`~repro.studies.provider.table1_rows`.
     """
-    base: Dict[str, Any] = {
-        "root_seed": seed,
-        "n_subnet_pairs": n_subnet_pairs,
-        "wifi_loss_median": wifi_loss_median,
-        "wifi_loss_sigma": wifi_loss_sigma,
-        "device_penalty_scale": device_penalty_scale,
-        "glitch_penalty_scale": glitch_penalty_scale,
-        "response_bias": response_bias,
-    }
-    items = _provider_items(n_calls, base)
+    items = [(block, {"root_seed": seed, "n_subnet_pairs": n_subnet_pairs,
+                      "count": count})
+             for block, count in call_blocks(n_calls)]
 
     table = LabeledCounts()
     cdf = GridCdf(*MOS_GRID)
     moments = MomentSketch()
-    pair_ee: Dict[int, int] = {}
-    pair_ww: Dict[int, int] = {}
-    pc_ee: Dict[int, int] = {}
-    pc_ww: Dict[int, int] = {}
+    pairs = PairTallies()
+    pc_pairs = PairTallies()
     # map_configs returns payloads in spec order — the merge contract.
     for payload in map_configs(PASS1_TASK, items, config=runner_config):
         table.merge(LabeledCounts.from_payload(payload["table"]))
         cdf.merge(GridCdf.from_payload(payload["mos_cdf"]))
         moments.merge(MomentSketch.from_payload(payload["mos_moments"]))
-        _merge_pair_rows(pair_ee, pair_ww, payload["pairs"])
-        _merge_pair_rows(pc_ee, pc_ww, payload["pc_pairs"])
+        pairs.add(payload["pairs"])
+        pc_pairs.add(payload["pc_pairs"])
 
-    balanced = _balanced_from_counts(pair_ee, pair_ww)
-    pc_balanced = _balanced_from_counts(pc_ee, pc_ww)
+    balanced = pairs.balanced()
+    pc_balanced = pc_pairs.balanced()
     items2 = [(block, dict(config, balanced=balanced,
                            pc_balanced=pc_balanced))
               for block, config in items]
     for payload in map_configs(PASS2_TASK, items2, config=runner_config):
         table.merge(LabeledCounts.from_payload(payload))
 
-    pcr_all = table.pcr(("all", "all"))
-
-    def subset_row(label: str, subset: str) -> Table1Row:
-        return Table1Row(
-            label=label,
-            delta_ee_pct=_relative_delta(pcr_all,
-                                         table.pcr((subset, "EE"))),
-            delta_ew_pct=_relative_delta(pcr_all,
-                                         table.pcr((subset, "EW"))),
-            delta_ww_pct=_relative_delta(pcr_all,
-                                         table.pcr((subset, "WW"))),
-            n_calls=table.n((subset, "all")))
-
-    rows = [
-        subset_row("All", "all"),
-        subset_row("/24s with #E>=#W", "balanced"),
-        subset_row("PC", "pc"),
-        subset_row("PC, /24s with #E>=#W", "pc_balanced"),
-    ]
     return ProviderPopulationTables(
-        rows=rows, overall_pcr=pcr_all,
+        rows=table1_rows(table), overall_pcr=table.pcr(("all", "all")),
         pcr_wilson=table.wilson(("all", "all")),
         n_rated_calls=table.n(("all", "all")), n_calls=n_calls,
         n_balanced_pairs=len(balanced),
@@ -526,46 +293,21 @@ def nettest_block_metrics(block: int, *, count: int, root_seed: int,
     clients = client_state(root_seed)
     registry = active_registry()
     clock, tracker = _tracker(registry)
-
-    span = _phase_span(tracker, "population.render", block)
-    calls = render_nettest_block(block, count, root_seed, clients,
-                                 scale=scale)
-    clock.advance(float(count))
-    if span is not None:
-        span.end()
-
-    span = _phase_span(tracker, "population.reduce", block)
-    table = LabeledCounts()
-    users: Dict[int, Tuple[int, int]] = {}
-    n_poor = 0
-    for call in calls:
-        poor = int(call.poor)
-        n_poor += poor
-        table.observe((call.category,), 1, poor)
-        # Endpoint *slots*, not distinct users: a WW call that drew the
-        # same client twice counts it twice, matching the scalar
-        # NetTestDataset.per_user_pcr exactly.
-        for user in (call.client_a, call.client_b):
-            if user >= 0:
-                slots, poors = users.get(user, (0, 0))
-                users[user] = (slots + 1, poors + poor)
-    cdf = GridCdf(*MOS_GRID)
-    cdf.observe_array(np.array([call.mos for call in calls]))
-    moments = MomentSketch()
-    moments.observe_array(np.array([call.mos for call in calls]))
-    payload = {
-        "table": table.to_payload(),
-        "users": [[int(user), slots, poors]
-                  for user, (slots, poors) in sorted(users.items())],
-        "mos_cdf": cdf.to_payload(),
-        "mos_moments": moments.to_payload(),
-    }
-    clock.advance(float(count))
-    if span is not None:
-        span.end()
+    with _phase(clock, tracker, "population.render", block, count):
+        calls = render_nettest_block(block, count, root_seed, clients,
+                                     scale=scale)
+    with _phase(clock, tracker, "population.reduce", block, count):
+        table, users = call_counts(calls)
+        payload = {
+            "table": table.to_payload(),
+            "users": [[int(user), slots, poors]
+                      for user, (slots, poors) in sorted(users.items())],
+            **_mos_sketches(np.array([call.mos for call in calls])),
+        }
     if registry is not None:
         registry.counter("population.calls").inc(count)
-        registry.counter("population.poor_calls").inc(n_poor)
+        registry.counter("population.poor_calls").inc(
+            table.poor((TOTAL,)))
     return payload
 
 
@@ -588,9 +330,9 @@ def nettest_population_study(seed: int = 0, scale: float = 1.0,
                              ) -> NetTestPopulationTables:
     """Run the NetTest study sharded over runner blocks.
 
-    Table 2 rows and the spatial stats are exactly equal to the scalar
-    ``run_nettest_study`` path for any ``scale``: the counters are
-    exact and the divisions identical.
+    Table 2 rows and the spatial stats are exactly equal to the
+    in-memory ``run_nettest_study`` path for any ``scale``: the counters
+    are exact and the rows come from the same rules.
     """
     total = schedule_size(scale)
     items = [(block, {"root_seed": seed, "scale": scale,
@@ -602,7 +344,7 @@ def nettest_population_study(seed: int = 0, scale: float = 1.0,
     table = LabeledCounts()
     cdf = GridCdf(*MOS_GRID)
     moments = MomentSketch()
-    users: Dict[int, Tuple[int, int]] = {}
+    users: UserTallies = {}
     for payload in map_configs(NETTEST_TASK, items,
                                config=runner_config):
         table.merge(LabeledCounts.from_payload(payload["table"]))
@@ -613,31 +355,9 @@ def nettest_population_study(seed: int = 0, scale: float = 1.0,
             users[int(user)] = (old_slots + int(slots),
                                 old_poors + int(poors))
 
-    rows: List[Tuple[str, int, float]] = []
-    n_total = 0
-    n_poor_total = 0
-    for category in CATEGORY_COUNTS:
-        n = table.n((category,))
-        n_total += n
-        n_poor_total += table.poor((category,))
-        rows.append((category, n, 100.0 * table.pcr((category,))))
-    overall = n_poor_total / n_total if n_total else float("nan")
-    rows.append(("Total", n_total, 100.0 * overall))
-
-    pcr_values = [poors / slots for _, (slots, poors)
-                  in sorted(users.items())]
-    if pcr_values:
-        frac_any = sum(1 for v in pcr_values if v > 0.0) \
-            / len(pcr_values)
-        frac_20 = sum(1 for v in pcr_values if v >= 0.20) \
-            / len(pcr_values)
-    else:
-        frac_any = float("nan")
-        frac_20 = float("nan")
-
+    frac_any, frac_20 = user_fractions(users)
     return NetTestPopulationTables(
-        rows=rows, overall_pcr=overall,
-        pcr_wilson=wilson_interval(n_poor_total, n_total),
-        n_calls=n_total,
+        rows=table2_rows(table), overall_pcr=table.pcr((TOTAL,)),
+        pcr_wilson=table.wilson((TOTAL,)), n_calls=table.n((TOTAL,)),
         frac_users_any_poor=frac_any, frac_users_pcr20=frac_20,
         mos_cdf=cdf, mos_moments=moments)

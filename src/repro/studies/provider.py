@@ -34,29 +34,35 @@ f"provider-block-{b}")`` and draws every per-call quantity from a
 *named per-field substream* (``"pair"``, ``"wifi"``, ``"pc"``, ...)
 with a **fixed draw count per call** — conditional quantities (the
 per-endpoint WiFi access loss, the non-PC device penalty) are drawn
-unconditionally and applied conditionally.  Two consequences:
+unconditionally and applied conditionally.  :func:`render_provider_block`
+draws each substream as one whole-block array, so any block renders
+independently, in any process, and a truncated final block is a prefix
+of the full block: the first ``n`` calls of a population are a prefix
+of any larger population with the same seed.
 
-* the vectorized backend (:mod:`repro.studies.population`) renders a
-  block as numpy arrays from the *same* substreams and — because a
-  batched ``Generator`` draw consumes the bit stream exactly like the
-  equivalent sequence of scalar draws — produces **bit-identical**
-  calls to this scalar loop;
-* a truncated final block is a prefix of the full block, so the first
-  ``n`` calls of a population are a prefix of any larger population
-  with the same seed.
+One generator, one reduction
+----------------------------
 
-This scalar path remains the readable reference; the population backend
-is the scale path, and ``tests/test_population.py`` pins their exact
-equality.
+:func:`render_provider_block` is the only code that draws provider
+calls.  Table 1 is reduced by one set of rules over exact counters:
+:func:`table1_pass1` (All/PC counters plus per-pair EE/WW tallies),
+:class:`PairTallies` (the balanced-/24 rule), :func:`table1_pass2` (the
+balanced rows) and :func:`table1_rows` (the relative deltas).
+:func:`analyze_table1` applies them to one in-memory year;
+:mod:`repro.studies.population` applies them per cached block and merges
+the counts, so the two differ only in how they shard and merge.
+``tests/test_section3_golden.py`` pins the content digests of rendered
+blocks and of both paths' tables.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.analysis.sketch import LabeledCounts
 from repro.sim.random import RandomRouter
 from repro.voice.quality import emodel_r_factor, r_to_mos
 
@@ -127,6 +133,9 @@ _ARCHETYPES = {
 #: P(device PC-class | Ethernet endpoint)
 _PC_GIVEN_ETHERNET = 0.95
 
+#: call category by number of WiFi endpoints
+_CATEGORIES = ("EE", "EW", "WW")
+
 
 #: calibration knobs — ablations sweep them by passing explicit keyword
 #: arguments.  They are bound as *def-time* signature defaults below:
@@ -146,8 +155,7 @@ class PairState:
 
     Drawn once per population from the root router's
     ``"provider.pairs"`` stream (never from a block router), so every
-    block — rendered scalar or vectorized, in any process — sees the
-    same pairs.
+    block — in any process — sees the same pairs.
     """
 
     archetype: np.ndarray      # archetype index per pair
@@ -159,7 +167,7 @@ class PairState:
 
 
 def pair_state(seed: int, n_subnet_pairs: int) -> PairState:
-    """Draw the population's subnet-pair state (both backends call this)."""
+    """Draw the population's subnet-pair state."""
     stream = RandomRouter(seed).stream("provider.pairs")
     names = list(_ARCHETYPES)
     shares = np.array([_ARCHETYPES[n][0] for n in names])
@@ -180,27 +188,43 @@ def block_router(seed: int, block: int) -> RandomRouter:
     return RandomRouter(seed).fork(f"provider-block-{block}")
 
 
-def n_call_blocks(n_calls: int) -> int:
-    """Number of protocol blocks covering an ``n_calls`` population."""
+def call_blocks(n_calls: int) -> List[Tuple[int, int]]:
+    """``(block, count)`` for every protocol block of an ``n_calls``
+    population; only the last block may be short."""
     if n_calls < 0:
         raise ValueError("n_calls must be >= 0")
-    return (n_calls + CALL_BLOCK - 1) // CALL_BLOCK
+    return [(block, min(CALL_BLOCK, n_calls - block * CALL_BLOCK))
+            for block in range((n_calls + CALL_BLOCK - 1) // CALL_BLOCK)]
 
 
-_CATEGORY_BY_WIFI_COUNT = {0: "EE", 1: "EW", 2: "WW"}
+@dataclass(frozen=True)
+class ProviderBlockArrays:
+    """One rendered provider call block, every call as array rows.
+
+    ``rated`` marks the calls the user actually rated; the other fields
+    cover *all* ``count`` calls so downstream cuts (rated or not) stay
+    possible without re-rendering.
+    """
+
+    pair: np.ndarray        # subnet pair per call
+    wifi_count: np.ndarray  # WiFi endpoints per call: 0=EE, 1=EW, 2=WW
+    pc_class: np.ndarray    # both endpoints PC-class?
+    mos: np.ndarray         # pre-noise MOS after device/glitch penalties
+    rating: np.ndarray      # 1..5 (what the user would rate)
+    rated: np.ndarray       # did the user rate the call?
 
 
-def synthesize_provider_block(block: int, count: int, seed: int,
-                              pairs: PairState,
-                              wifi_loss_median: float = WIFI_LOSS_MEDIAN,
-                              wifi_loss_sigma: float = WIFI_LOSS_SIGMA,
-                              device_penalty_scale: float =
-                              DEVICE_PENALTY_SCALE,
-                              glitch_penalty_scale: float =
-                              GLITCH_PENALTY_SCALE,
-                              response_bias: bool = True
-                              ) -> List[RatedCall]:
-    """Scalar reference rendering of one call block's *rated* calls.
+def render_provider_block(block: int, count: int, seed: int,
+                          pairs: PairState,
+                          wifi_loss_median: float = WIFI_LOSS_MEDIAN,
+                          wifi_loss_sigma: float = WIFI_LOSS_SIGMA,
+                          device_penalty_scale: float =
+                          DEVICE_PENALTY_SCALE,
+                          glitch_penalty_scale: float =
+                          GLITCH_PENALTY_SCALE,
+                          response_bias: bool = True
+                          ) -> ProviderBlockArrays:
+    """Render the first ``count`` calls of call block ``block``.
 
     Draw layout (one call consumes, in order, from each named
     substream): ``pair`` 1 bounded integer; ``wifi`` and ``pc`` 2
@@ -208,79 +232,74 @@ def synthesize_provider_block(block: int, count: int, seed: int,
     endpoints, applied only to WiFi ones); ``delay`` 1 exponential;
     ``device`` 1 exponential (applied only to non-PC calls);
     ``glitch`` 1 exponential; ``rating-noise`` 1 normal; ``respond`` 1
-    uniform.  The fixed per-call draw count is what lets
-    :func:`repro.studies.population.render_provider_block` replay the
-    block as whole-array draws, bit for bit.
+    uniform.  Each substream is drawn as one whole-block array, and the
+    calls are scored with the :mod:`repro.voice.quality` E-model on
+    whole arrays.
     """
     router = block_router(seed, block)
-    s_pair = router.stream("pair")
-    s_wifi = router.stream("wifi")
-    s_pc = router.stream("pc")
-    s_access = router.stream("access-loss")
-    s_delay = router.stream("delay")
-    s_device = router.stream("device")
-    s_glitch = router.stream("glitch")
-    s_noise = router.stream("rating-noise")
-    s_respond = router.stream("respond")
-
     n_subnet_pairs = len(pairs.archetype)
     log_median = np.log(wifi_loss_median)
-    rated: List[RatedCall] = []
-    for _ in range(count):
-        pair = int(s_pair.integers(0, n_subnet_pairs))
-        archetype = int(pairs.archetype[pair])
-        p_wifi = float(pairs.p_wifi[archetype])
-        p_pc_wifi = float(pairs.p_pc_wifi[archetype])
 
-        endpoints = []
-        for _endpoint in range(2):
-            on_wifi = s_wifi.random() < p_wifi
-            pc = s_pc.random() < (p_pc_wifi if on_wifi
-                                  else _PC_GIVEN_ETHERNET)
-            access = float(s_access.lognormal(log_median,
-                                              wifi_loss_sigma))
-            endpoints.append((on_wifi, pc, access))
-        n_wifi = sum(1 for w, _, _ in endpoints if w)
-        category = _CATEGORY_BY_WIFI_COUNT[n_wifi]
-        pc_class = all(pc for _, pc, _ in endpoints)
+    pair = router.stream("pair").integers(0, n_subnet_pairs, size=count)
+    wifi_u = router.stream("wifi").random(size=(count, 2))
+    pc_u = router.stream("pc").random(size=(count, 2))
+    access = router.stream("access-loss").lognormal(
+        log_median, wifi_loss_sigma, size=(count, 2))
+    delay_draw = router.stream("delay").exponential(0.040, size=count)
+    device = router.stream("device").exponential(
+        device_penalty_scale, size=count)
+    glitch = router.stream("glitch").exponential(
+        glitch_penalty_scale, size=count)
+    noise = router.stream("rating-noise").normal(0.0, 0.55, size=count)
+    respond_u = router.stream("respond").random(size=count)
 
-        # Network impairments: backhaul + per-WiFi-endpoint access loss.
-        loss = float(pairs.backhaul_loss[archetype]
-                     * pairs.backhaul[pair])
-        for on_wifi, _, access in endpoints:
-            if on_wifi:
-                loss += access
-        loss = min(loss, 0.6)
-        burst = 1.0 + 2.5 * min(loss * 10.0, 1.0)  # WiFi loss is bursty
-        delay = float(pairs.base_delay[archetype]) \
-            + float(s_delay.exponential(0.040))
+    archetype = pairs.archetype[pair]
+    on_wifi = wifi_u < pairs.p_wifi[archetype][:, None]
+    pc = pc_u < np.where(on_wifi, pairs.p_pc_wifi[archetype][:, None],
+                         _PC_GIVEN_ETHERNET)
+    wifi_count = on_wifi.sum(axis=1)
+    pc_class = pc[:, 0] & pc[:, 1]
 
-        r = emodel_r_factor(loss, delay, mean_burst_len=burst)
-        mos = r_to_mos(r)
-        # Cheap hardware degrades what the user *hears*, not the network.
-        device = float(s_device.exponential(device_penalty_scale))
-        if not pc_class:
-            mos -= device
-        # Non-network glitches everyone suffers regardless of access type:
-        # echo, background noise, far-end problems, app hiccups.  Without
-        # this floor the synthetic EE population would be implausibly
-        # perfect and every relative delta would saturate.
-        mos -= float(s_glitch.exponential(glitch_penalty_scale))
-        rating = int(np.clip(round(mos + s_noise.normal(0.0, 0.55)),
-                             1, 5))
+    # Network impairments: backhaul + per-WiFi-endpoint access loss,
+    # accumulated as (base + access0) + access1 (adding 0.0 for an
+    # Ethernet endpoint is a bitwise no-op, since loss > 0).
+    loss = pairs.backhaul_loss[archetype] * pairs.backhaul[pair]
+    loss = loss + np.where(on_wifi[:, 0], access[:, 0], 0.0)
+    loss = loss + np.where(on_wifi[:, 1], access[:, 1], 0.0)
+    loss = np.minimum(loss, 0.6)
+    burst = 1.0 + 2.5 * np.minimum(loss * 10.0, 1.0)  # WiFi loss is bursty
+    delay = pairs.base_delay[archetype] + delay_draw
 
-        # Response bias: the annoyed rate more readily (disable via
-        # ``response_bias=False`` for the robustness ablation).
-        if response_bias:
-            p_respond = 0.10 if rating > 2 else 0.16
-        else:
-            p_respond = 0.12
-        if s_respond.random() >= p_respond:
-            continue
-        rated.append(RatedCall(
-            subnet_pair=pair, category=category,
-            pc_class=pc_class, rating=rating))
-    return rated
+    mos = r_to_mos(emodel_r_factor(loss, delay, burst))
+    # Cheap hardware degrades what the user *hears*, not the network.
+    mos = mos - np.where(pc_class, 0.0, device)
+    # Non-network glitches everyone suffers regardless of access type:
+    # echo, background noise, far-end problems, app hiccups.  Without
+    # this floor the synthetic EE population would be implausibly
+    # perfect and every relative delta would saturate.
+    mos = mos - glitch
+    rating = np.clip(np.round(mos + noise), 1.0, 5.0).astype(np.int64)
+
+    # Response bias: the annoyed rate more readily (disable via
+    # ``response_bias=False`` for the robustness ablation).
+    if response_bias:
+        p_respond = np.where(rating > 2, 0.10, 0.16)
+    else:
+        p_respond = np.full(count, 0.12)
+    rated = respond_u < p_respond
+    return ProviderBlockArrays(pair=pair, wifi_count=wifi_count,
+                               pc_class=pc_class, mos=mos,
+                               rating=rating, rated=rated)
+
+
+def provider_block_calls(arrays: ProviderBlockArrays) -> List[RatedCall]:
+    """The block's rated calls as :class:`RatedCall` objects."""
+    return [RatedCall(
+        subnet_pair=int(arrays.pair[i]),
+        category=_CATEGORIES[int(arrays.wifi_count[i])],
+        pc_class=bool(arrays.pc_class[i]),
+        rating=int(arrays.rating[i]))
+        for i in np.nonzero(arrays.rated)[0]]
 
 
 def synthesize_provider_year(n_calls: int = 200_000, seed: int = 0,
@@ -293,73 +312,154 @@ def synthesize_provider_year(n_calls: int = 200_000, seed: int = 0,
                              GLITCH_PENALTY_SCALE,
                              response_bias: bool = True
                              ) -> ProviderDataset:
-    """Generate the synthetic year of rated calls (scalar reference)."""
+    """Generate the synthetic year of rated calls, block by block."""
     pairs = pair_state(seed, n_subnet_pairs)
     dataset = ProviderDataset()
-    for block in range(n_call_blocks(n_calls)):
-        count = min(CALL_BLOCK, n_calls - block * CALL_BLOCK)
-        dataset.calls.extend(synthesize_provider_block(
+    for block, count in call_blocks(n_calls):
+        dataset.calls.extend(provider_block_calls(render_provider_block(
             block, count, seed, pairs,
             wifi_loss_median=wifi_loss_median,
             wifi_loss_sigma=wifi_loss_sigma,
             device_penalty_scale=device_penalty_scale,
             glitch_penalty_scale=glitch_penalty_scale,
-            response_bias=response_bias))
+            response_bias=response_bias)))
     return dataset
 
 
 # ---------------------------------------------------------------------------
-# Table 1 analysis (the paper's machinery, verbatim)
+# Table 1 analysis (the paper's machinery, verbatim), as exact counters
+
+#: (row label, counter subset) in Table 1 order
+TABLE1_SUBSETS = (
+    ("All", "all"),
+    ("/24s with #E>=#W", "balanced"),
+    ("PC", "pc"),
+    ("PC, /24s with #E>=#W", "pc_balanced"),
+)
+
+
+@dataclass(frozen=True)
+class RatedColumns:
+    """Rated calls as columns: the input of every Table 1 reduction."""
+
+    pair: np.ndarray        # subnet pair per call
+    wifi_count: np.ndarray  # WiFi endpoints per call: 0=EE, 1=EW, 2=WW
+    pc_class: np.ndarray    # both endpoints PC-class?
+    poor: np.ndarray        # rating <= 2?
+
+    @classmethod
+    def of_block(cls, arrays: ProviderBlockArrays) -> "RatedColumns":
+        """The rated calls of one rendered block."""
+        rated = arrays.rated
+        return cls(pair=arrays.pair[rated],
+                   wifi_count=arrays.wifi_count[rated],
+                   pc_class=arrays.pc_class[rated],
+                   poor=arrays.rating[rated] <= 2)
+
+    @classmethod
+    def of_calls(cls, calls: Sequence[RatedCall]) -> "RatedColumns":
+        """The calls of an in-memory dataset (all of them rated)."""
+        return cls(
+            pair=np.array([c.subnet_pair for c in calls], dtype=np.int64),
+            wifi_count=np.array([_CATEGORIES.index(c.category)
+                                 for c in calls], dtype=np.int64),
+            pc_class=np.array([c.pc_class for c in calls], dtype=bool),
+            poor=np.array([c.poor for c in calls], dtype=bool))
+
+
+def _observe_subset(table: LabeledCounts, subset: str,
+                    rated: RatedColumns, mask: np.ndarray) -> None:
+    """Fold one subset's overall and per-category counters into
+    ``table``."""
+    table.observe((subset, "all"), int(mask.sum()),
+                  int((mask & rated.poor).sum()))
+    for code, name in enumerate(_CATEGORIES):
+        in_cat = mask & (rated.wifi_count == code)
+        table.observe((subset, name), int(in_cat.sum()),
+                      int((in_cat & rated.poor).sum()))
+
+
+def _pair_rows(rated: RatedColumns, mask: np.ndarray) -> List[List[int]]:
+    """Sparse ``[pair, #EE, #WW]`` rows over the masked rated calls."""
+    n_pairs = int(rated.pair.max()) + 1 if rated.pair.size else 0
+    ee = np.bincount(rated.pair[mask & (rated.wifi_count == 0)],
+                     minlength=n_pairs)
+    ww = np.bincount(rated.pair[mask & (rated.wifi_count == 2)],
+                     minlength=n_pairs)
+    hot = np.nonzero((ee > 0) | (ww > 0))[0]
+    return [[int(p), int(ee[p]), int(ww[p])] for p in hot]
+
+
+def table1_pass1(rated: RatedColumns
+                 ) -> Tuple[LabeledCounts, List[List[int]],
+                            List[List[int]]]:
+    """The All/PC counters plus the sparse per-pair EE/WW tallies of all
+    rated calls and of the PC-class ones."""
+    everything = np.ones(rated.pair.shape, dtype=bool)
+    table = LabeledCounts()
+    _observe_subset(table, "all", rated, everything)
+    _observe_subset(table, "pc", rated, rated.pc_class)
+    return (table, _pair_rows(rated, everything),
+            _pair_rows(rated, rated.pc_class))
+
+
+@dataclass
+class PairTallies:
+    """Per-subnet-pair EE/WW rated-call counts, merged from sparse
+    ``[pair, #EE, #WW]`` rows in any number of pieces."""
+
+    ee: Dict[int, int] = field(default_factory=dict)
+    ww: Dict[int, int] = field(default_factory=dict)
+
+    def add(self, rows: Iterable[Sequence[int]]) -> "PairTallies":
+        for pair, n_ee, n_ww in rows:
+            if n_ee:
+                self.ee[int(pair)] = self.ee.get(int(pair), 0) + int(n_ee)
+            if n_ww:
+                self.ww[int(pair)] = self.ww.get(int(pair), 0) + int(n_ww)
+        return self
+
+    def balanced(self) -> List[int]:
+        """The "/24s with #E>=#W" pairs, sorted: pairs with at least one
+        EE rated call and at least as many EE as WW rated calls."""
+        return sorted(pair for pair, n_ee in self.ee.items()
+                      if n_ee >= self.ww.get(pair, 0))
+
+
+def table1_pass2(rated: RatedColumns, balanced: Sequence[int],
+                 pc_balanced: Sequence[int]) -> LabeledCounts:
+    """The balanced-/24 rows' counters under the given pair sets."""
+    in_balanced = np.isin(rated.pair, np.asarray(balanced, dtype=np.int64))
+    in_pc_balanced = rated.pc_class & np.isin(
+        rated.pair, np.asarray(pc_balanced, dtype=np.int64))
+    table = LabeledCounts()
+    _observe_subset(table, "balanced", rated, in_balanced)
+    _observe_subset(table, "pc_balanced", rated, in_pc_balanced)
+    return table
+
 
 def _relative_delta(pcr_all: float, pcr_subset: float) -> float:
     """PCR_delta = (PCR_all - PCR_X) / PCR_all * 100 (positive = better)."""
     return (pcr_all - pcr_subset) / pcr_all * 100.0
 
 
-def _balanced_pairs(calls: Iterable[RatedCall]) -> Set[int]:
-    """Subnet pairs with at least as many EE as WW rated calls."""
-    ee: Dict[int, int] = {}
-    ww: Dict[int, int] = {}
-    for call in calls:
-        if call.category == "EE":
-            ee[call.subnet_pair] = ee.get(call.subnet_pair, 0) + 1
-        elif call.category == "WW":
-            ww[call.subnet_pair] = ww.get(call.subnet_pair, 0) + 1
-    return {pair for pair, n_ee in ee.items()
-            if n_ee >= ww.get(pair, 0)}
-
-
-def _row(label: str, calls: List[RatedCall],
-         pcr_all: float) -> Table1Row:
-    def pcr_of(category: str) -> float:
-        subset = [c for c in calls if c.category == category]
-        if not subset:
-            return float("nan")
-        return float(np.mean([c.poor for c in subset]))
-
-    return Table1Row(
+def table1_rows(table: LabeledCounts) -> List[Table1Row]:
+    """The four rows of Table 1 from the merged pass-1 and pass-2
+    counters."""
+    pcr_all = table.pcr(("all", "all"))
+    return [Table1Row(
         label=label,
-        delta_ee_pct=_relative_delta(pcr_all, pcr_of("EE")),
-        delta_ew_pct=_relative_delta(pcr_all, pcr_of("EW")),
-        delta_ww_pct=_relative_delta(pcr_all, pcr_of("WW")),
-        n_calls=len(calls))
+        delta_ee_pct=_relative_delta(pcr_all, table.pcr((subset, "EE"))),
+        delta_ew_pct=_relative_delta(pcr_all, table.pcr((subset, "EW"))),
+        delta_ww_pct=_relative_delta(pcr_all, table.pcr((subset, "WW"))),
+        n_calls=table.n((subset, "all")))
+        for label, subset in TABLE1_SUBSETS]
 
 
 def analyze_table1(dataset: ProviderDataset) -> List[Table1Row]:
     """The four rows of Table 1."""
-    calls = dataset.calls
-    pcr_all = dataset.pcr()
-
-    balanced = _balanced_pairs(calls)
-    balanced_calls = [c for c in calls if c.subnet_pair in balanced]
-    pc_calls = [c for c in calls if c.pc_class]
-    pc_balanced_pairs = _balanced_pairs(pc_calls)
-    pc_balanced = [c for c in pc_calls
-                   if c.subnet_pair in pc_balanced_pairs]
-
-    return [
-        _row("All", calls, pcr_all),
-        _row("/24s with #E>=#W", balanced_calls, pcr_all),
-        _row("PC", pc_calls, pcr_all),
-        _row("PC, /24s with #E>=#W", pc_balanced, pcr_all),
-    ]
+    rated = RatedColumns.of_calls(dataset.calls)
+    table, pair_rows, pc_pair_rows = table1_pass1(rated)
+    table.merge(table1_pass2(rated, PairTallies().add(pair_rows).balanced(),
+                             PairTallies().add(pc_pair_rows).balanced()))
+    return table1_rows(table)

@@ -44,9 +44,11 @@ SMOKES: Dict[str, List[Tuple[Tuple[str, ...], str]]] = {
     # QoE controller head-to-head: poll loop, reroutes and middlebox
     # start/stop schedule are part of the digested payload
     "sdn-smoke": [(("controller", "--runs", "4"), "digest")],
-    # streaming-sketch merges of the population studies
+    # streaming-sketch merges of the population studies, and the
+    # in-memory Table 1 task built on the same generator and reduction
     "population-smoke": [(("provider", "--calls", "50000"), "digest"),
-                         (("nettest", "--calls", "200"), "digest")],
+                         (("nettest", "--calls", "200"), "digest"),
+                         (("table1", "--runs", "20000"), "digest")],
 }
 
 _DIGEST = re.compile(r"digest=[0-9a-f]+")

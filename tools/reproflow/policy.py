@@ -50,8 +50,8 @@ Rationale per entry:
 ``src/repro/studies/``
     the Section 3 studies: the population block tasks (provider pass
     1/2, nettest) are mapped through ``map_configs`` into runner
-    workers and cached by content address, and the scalar reference
-    paths are the other half of the bit-parity contract, so the
+    workers and cached by content address, and the in-memory
+    analyses share their generator and reduction rules, so the
     package inherits the zero-exemption stance in full.
 
 The pass-4 families (SER — payload picklability under spawn, IMP —

@@ -42,8 +42,8 @@ with rationale:
 * ``src/repro/studies/``
     - zero exemptions: the population backend's pass-1/pass-2/nettest
       block tasks execute inside runner workers with content-addressed
-      caching, and the scalar paths share bit-parity contracts with
-      them, so the whole package gets the runner's stance — any stray
+      caching, and the in-memory analyses share their reduction rules,
+      so the whole package gets the runner's stance — any stray
       print, unseeded draw or wall-clock read would break the
       population-smoke digest equality.
 
