@@ -126,16 +126,20 @@ class RunResult:
 def batch_digest(results: Tuple[RunResult, ...]) -> str:
     """SHA-256 of the merged, seed-ordered result sequence.
 
-    The digest folds in ``(spec key, payload, metrics)`` triples *in
-    spec order*, so it is identical for serial, parallel and warm-cache
-    executions of the same batch — the determinism contract the
-    sanitizer asserts.  Folding the metrics blob means nondeterministic
-    *instrumentation* (a wall-clock read, hash-ordered labels) breaks
-    the digest just as loudly as a nondeterministic payload.
+    The digest folds in ``(task, seed, config, payload, metrics)``
+    *in spec order*, so it is identical for serial, parallel and
+    warm-cache executions of the same batch — the determinism contract
+    the sanitizer asserts.  Folding the metrics blob means
+    nondeterministic *instrumentation* (a wall-clock read, hash-ordered
+    labels) breaks the digest just as loudly as a nondeterministic
+    payload.  Unlike the cache key it leaves out the code fingerprint:
+    a source edit that keeps every output byte keeps the digest.
     """
     digest = hashlib.sha256()
     for result in results:
-        digest.update(result.spec.key.encode("ascii"))
+        spec = result.spec
+        digest.update(f"{spec.task}\n{spec.seed}\n{spec.config_json}"
+                      .encode("utf-8"))
         digest.update(b"|")
         digest.update(result.payload_json.encode("utf-8"))
         digest.update(b"|")

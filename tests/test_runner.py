@@ -479,6 +479,27 @@ def test_metrics_fold_into_batch_digest():
     assert batch_digest((base,)) != batch_digest((tampered,))
 
 
+def test_batch_digest_ignores_code_fingerprint():
+    """A source edit that keeps every output byte keeps the digest; the
+    cache key still moves with the fingerprint."""
+    spec = RunSpec.build(ADD_TASK, 3, {"offset": 2}, fingerprint="a" * 64)
+    edited = RunSpec.build(ADD_TASK, 3, {"offset": 2},
+                           fingerprint="b" * 64)
+    assert spec.key != edited.key
+
+    def result(run_spec, payload_json):
+        return RunResult(spec=run_spec, payload_json=payload_json,
+                         wall_time_s=0.0)
+
+    assert batch_digest((result(spec, "[5]"),)) == \
+        batch_digest((result(edited, "[5]"),))
+    assert batch_digest((result(spec, "[5]"),)) != \
+        batch_digest((result(spec, "[6]"),))
+    moved = RunSpec.build(ADD_TASK, 3, {"offset": 1}, fingerprint="a" * 64)
+    assert batch_digest((result(spec, "[5]"),)) != \
+        batch_digest((result(moved, "[5]"),))
+
+
 def test_metrics_identical_serial_parallel_and_warm(pool_pythonpath,
                                                     tmp_path):
     """The tentpole determinism claim at the runner level: the merged
