@@ -43,7 +43,6 @@ from repro.batch.driver import (
     BATCH_TASK,
     batch_wild_metrics,
     population_block_metrics,
-    render_block_metrics,
 )
 from repro.batch.population import PopulationSpec, SessionSetup
 from repro.batch.render import TraceBlock, render_block
@@ -61,7 +60,6 @@ __all__ = [
     "check_block_equivalence",
     "population_block_metrics",
     "render_block",
-    "render_block_metrics",
     "session_payloads",
     "strategy_suite",
 ]

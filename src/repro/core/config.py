@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 @dataclass(frozen=True)
 class StreamProfile:
-    """Characterizes a real-time stream (what RTP profile lookup yields)."""
+    """Characterizes a real-time stream: packet size, spacing, deadline."""
 
     name: str = "g711"
     packet_size_bytes: int = 160

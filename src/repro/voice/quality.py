@@ -53,7 +53,7 @@ class CodecImpairment:
     bpl: float
 
 
-#: G.113 values for the codecs in the RTP static profile table.
+#: G.113 values for the RFC 3551 static-payload-type audio codecs.
 CODEC_IMPAIRMENTS = {
     "g711": CodecImpairment("G.711 w/ PLC", ie=0.0, bpl=25.1),
     "PCMU/G711u": CodecImpairment("G.711 w/ PLC", ie=0.0, bpl=25.1),
