@@ -43,7 +43,7 @@ from repro.obs.registry import (
     TimeWeightedGauge,
 )
 from repro.obs.runtime import active_registry, collecting
-from repro.obs.spans import SimulatedClock, Span, SpanTracker
+from repro.obs.spans import Span, SpanTracker
 
 __all__ = [
     "COUNT_BUCKETS",
@@ -55,7 +55,6 @@ __all__ = [
     "MetricError",
     "MetricsRegistry",
     "RATIO_BUCKETS",
-    "SimulatedClock",
     "Span",
     "SpanTracker",
     "TimeWeightedGauge",

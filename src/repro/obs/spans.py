@@ -85,30 +85,6 @@ class Span:
         self.end()
 
 
-class SimulatedClock:
-    """A span clock advanced explicitly in simulated units.
-
-    Runner tasks must not observe wall-clock time (metrics travel with
-    cached results, so any nondeterminism would poison digests); batch-
-    style drivers instead advance this clock by the simulated quantity
-    each phase covered — seconds of rendered traffic, calls generated —
-    and bind it as a :class:`SpanTracker`'s clock.
-    """
-
-    __slots__ = ("_now",)
-
-    def __init__(self, start: float = 0.0) -> None:
-        self._now = float(start)
-
-    def advance(self, dt: float) -> None:
-        if dt < 0:
-            raise ValueError(f"cannot advance a clock by {dt!r}")
-        self._now += dt
-
-    def __call__(self) -> float:
-        return self._now
-
-
 class SpanTracker:
     """Factory for spans bound to one clock, registry and event log."""
 

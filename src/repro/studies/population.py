@@ -52,24 +52,21 @@ passes over the same blocks:
    config** — part of the cache key, so a pass-2 result can never pair
    with the wrong filter.
 
-Observability: each task wraps its phases in ``population.render`` /
-``population.reduce`` spans on a :class:`repro.obs.SimulatedClock`
-(advanced by calls generated — never wall clock) and bumps
-``population.*`` counters, all merged through the runner's
-deterministic metrics path.
+Observability: each task bumps ``population.*`` counters, merged
+through the runner's deterministic metrics path.  ``population.calls``
+counts each generated call once (provider pass 1 and NetTest blocks);
+``population.rated_calls`` and ``population.poor_calls`` count what the
+tables are built from.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import (Any, Dict, Iterator, List, Optional, Sequence,
-                    Tuple)
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.analysis.sketch import GridCdf, LabeledCounts, MomentSketch
-from repro.obs import SimulatedClock, SpanTracker
 from repro.obs.runtime import active_registry
 from repro.runner import RunnerConfig, map_configs
 from repro.studies.nettest import (
@@ -121,28 +118,7 @@ MOS_GRID = (0.0, 5.0, 100)
 
 
 # ---------------------------------------------------------------------------
-# task phases
-
-def _tracker(registry: Any) -> Tuple[SimulatedClock,
-                                     Optional[SpanTracker]]:
-    clock = SimulatedClock()
-    if registry is None:
-        return clock, None
-    return clock, SpanTracker(clock, registry=registry,
-                              source="population")
-
-
-@contextmanager
-def _phase(clock: SimulatedClock, tracker: Optional[SpanTracker],
-           name: str, block: int, count: int) -> Iterator[None]:
-    """One task phase: a span over ``count`` simulated call units."""
-    span = tracker.span(name, block=block) if tracker is not None \
-        else None
-    yield
-    clock.advance(float(count))
-    if span is not None:
-        span.end()
-
+# task payloads
 
 def _mos_sketches(mos: np.ndarray) -> Dict[str, Any]:
     cdf = GridCdf(*MOS_GRID)
@@ -156,22 +132,14 @@ def _mos_sketches(mos: np.ndarray) -> Dict[str, Any]:
 # ---------------------------------------------------------------------------
 # provider runner tasks
 
-@contextmanager
 def _provider_block(block: int, count: int, root_seed: int,
                     n_subnet_pairs: int
-                    ) -> Iterator[Tuple[ProviderBlockArrays,
-                                        RatedColumns]]:
-    """Render one provider block; the ``with`` body reduces its rated
-    calls inside the ``population.reduce`` span."""
-    registry = active_registry()
-    clock, tracker = _tracker(registry)
-    with _phase(clock, tracker, "population.render", block, count):
-        arrays = render_provider_block(
-            block, count, root_seed, pair_state(root_seed, n_subnet_pairs))
-    with _phase(clock, tracker, "population.reduce", block, count):
-        yield arrays, RatedColumns.of_block(arrays)
-    if registry is not None:
-        registry.counter("population.calls").inc(count)
+                    ) -> Tuple[ProviderBlockArrays, RatedColumns]:
+    """Render one provider block; return it with its rated calls as
+    columns."""
+    arrays = render_provider_block(
+        block, count, root_seed, pair_state(root_seed, n_subnet_pairs))
+    return arrays, RatedColumns.of_block(arrays)
 
 
 def provider_pass1_metrics(block: int, *, count: int, root_seed: int,
@@ -183,16 +151,17 @@ def provider_pass1_metrics(block: int, *, count: int, root_seed: int,
     sketches of the block's rated calls.  No call list ever leaves the
     task, which is what keeps million-call populations flat in memory.
     """
-    with _provider_block(block, count, root_seed,
-                         n_subnet_pairs) as (arrays, rated):
-        table, pair_rows, pc_pair_rows = table1_pass1(rated)
-        payload = {"table": table.to_payload(), "pairs": pair_rows,
-                   "pc_pairs": pc_pair_rows,
-                   **_mos_sketches(arrays.mos[arrays.rated])}
+    arrays, rated = _provider_block(block, count, root_seed,
+                                    n_subnet_pairs)
+    table, pair_rows, pc_pair_rows = table1_pass1(rated)
     registry = active_registry()
     if registry is not None:
+        # Pass 2 re-renders the same calls, so only pass 1 counts them.
+        registry.counter("population.calls").inc(count)
         registry.counter("population.rated_calls").inc(len(rated.pair))
-    return payload
+    return {"table": table.to_payload(), "pairs": pair_rows,
+            "pc_pairs": pc_pair_rows,
+            **_mos_sketches(arrays.mos[arrays.rated])}
 
 
 def provider_pass2_metrics(block: int, *, count: int, root_seed: int,
@@ -208,9 +177,8 @@ def provider_pass2_metrics(block: int, *, count: int, root_seed: int,
     content address — a cached pass-2 payload can never be replayed
     against a different filter.
     """
-    with _provider_block(block, count, root_seed,
-                         n_subnet_pairs) as (_, rated):
-        return table1_pass2(rated, balanced, pc_balanced).to_payload()
+    _, rated = _provider_block(block, count, root_seed, n_subnet_pairs)
+    return table1_pass2(rated, balanced, pc_balanced).to_payload()
 
 
 # ---------------------------------------------------------------------------
@@ -290,25 +258,20 @@ def nettest_block_metrics(block: int, *, count: int, root_seed: int,
     runner sharding (parallel blocks, per-block caching) plus streaming
     aggregation instead of shipping 9224 scored calls per seed.
     """
-    clients = client_state(root_seed)
+    calls = render_nettest_block(block, count, root_seed,
+                                 client_state(root_seed), scale=scale)
+    table, users = call_counts(calls)
     registry = active_registry()
-    clock, tracker = _tracker(registry)
-    with _phase(clock, tracker, "population.render", block, count):
-        calls = render_nettest_block(block, count, root_seed, clients,
-                                     scale=scale)
-    with _phase(clock, tracker, "population.reduce", block, count):
-        table, users = call_counts(calls)
-        payload = {
-            "table": table.to_payload(),
-            "users": [[int(user), slots, poors]
-                      for user, (slots, poors) in sorted(users.items())],
-            **_mos_sketches(np.array([call.mos for call in calls])),
-        }
     if registry is not None:
         registry.counter("population.calls").inc(count)
         registry.counter("population.poor_calls").inc(
             table.poor((TOTAL,)))
-    return payload
+    return {
+        "table": table.to_payload(),
+        "users": [[int(user), slots, poors]
+                  for user, (slots, poors) in sorted(users.items())],
+        **_mos_sketches(np.array([call.mos for call in calls])),
+    }
 
 
 @dataclass

@@ -10,6 +10,7 @@ calls and both tables' bytes.
 
 import hashlib
 import io
+import json
 
 import numpy as np
 import pytest
@@ -168,6 +169,20 @@ def test_cli_provider_calls_smoke():
     assert "Table 1 (population backend)" in text
     assert "Wilson" in text
     assert "digest=" in text
+
+
+def test_cli_provider_counts_each_call_once(tmp_path):
+    """Regression: both provider passes bumped ``population.calls``, so
+    ``--metrics-out`` reported twice the population size."""
+    path = tmp_path / "metrics.json"
+    n_calls = CALL_BLOCK + 1000
+    assert cli_main(["provider", "--calls", str(n_calls), "--no-cache",
+                     "--metrics-out", str(path)], out=io.StringIO()) == 0
+    counters = {m["name"]: m["value"]
+                for m in json.loads(path.read_text())["metrics"]
+                if m["kind"] == "counter"}
+    assert counters["population.calls"] == n_calls
+    assert 0 < counters["population.rated_calls"] < n_calls
 
 
 def test_cli_nettest_calls_smoke():
